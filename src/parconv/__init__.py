@@ -46,7 +46,6 @@ from .netdef import (
     NetworkSpec,
     ShapeReport,
     columnize,
-    cross_connection_bytes,
     load_network,
     parse_network,
     shape_report,
@@ -57,12 +56,10 @@ from .schemes import (
     ParallelPlan,
     StepResult,
     comm_volume,
-    data_parallel_step,
     hybrid_step,
     init_dense_params,
     load_plan,
     merge_params,
-    model_parallel_step,
     parse_plan,
     reference_step,
     setup_workers,

@@ -332,10 +332,9 @@ class Fabric:
         for t in threads:
             t.join()
 
-        if failures:
-            raise failures[min(failures)]
-        if self._error is not None:
-            raise self._error
+        if failures or self._error is not None:
+            self._channels.clear()  # undelivered messages of a failed run must not reach the next
+            raise failures[min(failures)] if failures else self._error
         return results
 
 

@@ -221,11 +221,9 @@ def maxpool_forward(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.
 
 
 def maxpool_backward(
-    x: np.ndarray, k: int, stride: int, grad_out: np.ndarray, argmax: np.ndarray | None = None
+    x: np.ndarray, k: int, stride: int, grad_out: np.ndarray, argmax: np.ndarray
 ) -> np.ndarray:
-    """Routes each upstream gradient to its window's argmax position."""
-    if argmax is None:
-        _, argmax = maxpool_forward(x, k, stride)
+    """Routes each upstream gradient to its window's argmax position (from maxpool_forward)."""
     b, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, 0)
     wo = conv_output_size(w, k, stride, 0)
@@ -308,12 +306,6 @@ class SgdState:
             raise ValidationError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be non-negative")
-
-    @classmethod
-    def zeros(cls, params: list[np.ndarray], **hyper) -> "SgdState":
-        state = cls(**hyper)
-        state.velocity = [np.zeros_like(p) for p in params]
-        return state
 
 
 def sgd_step(

@@ -466,29 +466,6 @@ def shape_report(net_or_cs: NetworkSpec | ColumnizedSpec, batch: int) -> ShapeRe
     return ShapeReport(rows=tuple(rows), batch=batch)
 
 
-@dataclass(frozen=True)
-class CrossBytes:
-    total: int
-    per_layer: dict  # layer index -> bytes (forward + backward)
-
-
-def cross_connection_bytes(cs: ColumnizedSpec, batch: int, wire: int = WIRE_ELEMENT_SIZE) -> CrossBytes:
-    """Exchange volume per training step.
-
-    At each cross layer every column sends its slice to the other m-1
-    columns, so the forward leg moves batch * full_elements * (m-1) * wire
-    bytes; the backward leg exchanges slice-sized gradient pieces and costs
-    exactly the same again.
-    """
-    m = cs.columns
-    per_layer: dict[int, int] = {}
-    for cl in cs.col_layers:
-        if cl.cross:
-            full = math.prod(cl.in_shape)
-            per_layer[cl.index] = 2 * batch * full * (m - 1) * wire
-    return CrossBytes(total=sum(per_layer.values()), per_layer=per_layer)
-
-
 def column_footprint_elements(cs: ColumnizedSpec, per_device_batch: int) -> tuple[int, int]:
     """(param_elements, activation_elements) resident on one column's device.
 

@@ -48,6 +48,7 @@ from .kernels import (
 from .netdef import (
     WIRE_ELEMENT_SIZE,
     ColumnizedSpec,
+    ColumnLayer,
     Conv,
     FC,
     MaxPool,
@@ -153,32 +154,32 @@ def init_dense_params(net: NetworkSpec, seed: int, std: float | None = None) -> 
     return params
 
 
-def _dense_layers(cs: ColumnizedSpec):
-    return {cl.index: cl for cl in columnize(cs.base, 1).param_layers()}
+def _owned(cl: ColumnLayer, column: int, dense_in: int) -> tuple[tuple[slice, ...], slice]:
+    """(weight index, bias index) of the part of a dense layer that `column` owns.
+
+    A shared head layer is owned whole; a split conv owns a block of output
+    channels (and, when grouped, of input channels too), a split FC a block
+    of units. `dense_in` is the dense weight's second extent.
+    """
+    if cl.shared:
+        return (slice(None),), slice(None)
+    if isinstance(cl.layer, Conv):
+        oc, ic = cl.weight_shape[0], cl.weight_shape[1]
+        out = slice(column * oc, (column + 1) * oc)
+        inp = slice(column * ic, (column + 1) * ic) if ic != dense_in else slice(None)
+        return (out, inp), out
+    u = cl.weight_shape[1]
+    units = slice(column * u, (column + 1) * u)
+    return (slice(None), units), units
 
 
 def split_params(dense: ParamSet, cs: ColumnizedSpec, column: int) -> ParamSet:
-    """Column `column`'s slice of a dense parameter set (fresh copies)."""
-    m = cs.columns
+    """Column `column`'s slice of a dense parameter set, as views into `dense`."""
     out: ParamSet = {}
     for cl in cs.param_layers():
-        w = dense[cl.index]["w"]
-        b = dense[cl.index]["b"]
-        if cl.shared:
-            out[cl.index] = {"w": w.copy(), "b": b.copy()}
-            continue
-        if isinstance(cl.layer, Conv):
-            oc = cl.weight_shape[0]
-            ws = w[column * oc : (column + 1) * oc]
-            ic = cl.weight_shape[1]
-            if ic != w.shape[1]:  # grouped: consumes only this column's input slice
-                ws = ws[:, column * ic : (column + 1) * ic]
-            bs = b[column * oc : (column + 1) * oc]
-        else:  # FC: input always full, units sliced
-            u = cl.weight_shape[1]
-            ws = w[:, column * u : (column + 1) * u]
-            bs = b[column * u : (column + 1) * u]
-        out[cl.index] = {"w": np.ascontiguousarray(ws), "b": np.ascontiguousarray(bs)}
+        w, b = dense[cl.index]["w"], dense[cl.index]["b"]
+        wi, bi = _owned(cl, column, w.shape[1])
+        out[cl.index] = {"w": w[wi], "b": b[bi]}
     return out
 
 
@@ -191,36 +192,27 @@ def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
     m = cs.columns
     if len(per_column) != m:
         raise ValidationError(f"merge_params needs {m} column sets, got {len(per_column)}")
-    dense_layers = _dense_layers(cs)
+    dense_layers = {cl.index: cl for cl in columnize(cs.base, 1).param_layers()}
     out: ParamSet = {}
     for cl in cs.param_layers():
         idx = cl.index
         dense_cl = dense_layers[idx]
         if cl.shared:
-            head = per_column[0][idx]
             for other in per_column[1:]:
-                if not np.array_equal(other[idx]["w"], head["w"]):
+                if not np.array_equal(other[idx]["w"], per_column[0][idx]["w"]):
                     raise ValidationError(
                         f"layer {idx}: replicated head copies diverged across columns"
                     )
-            out[idx] = {"w": head["w"].copy(), "b": head["b"].copy()}
-            continue
-        if not cl.cross and cl.in_shape != dense_cl.in_shape:
+        elif not cl.cross and cl.in_shape != dense_cl.in_shape:
             raise ValidationError(
                 f"layer {idx} consumes a column slice (grouped); no dense equivalent exists"
             )
         w = np.zeros(dense_cl.weight_shape, dtype=np.float64)
         b = np.zeros(dense_cl.bias_shape, dtype=np.float64)
-        if isinstance(cl.layer, Conv):
-            oc = cl.weight_shape[0]
-            for j in range(m):
-                w[j * oc : (j + 1) * oc] = per_column[j][idx]["w"]
-                b[j * oc : (j + 1) * oc] = per_column[j][idx]["b"]
-        else:
-            u = cl.weight_shape[1]
-            for j in range(m):
-                w[:, j * u : (j + 1) * u] = per_column[j][idx]["w"]
-                b[j * u : (j + 1) * u] = per_column[j][idx]["b"]
+        for j in range(1 if cl.shared else m):
+            wi, bi = _owned(cl, j, w.shape[1])
+            w[wi] = per_column[j][idx]["w"]
+            b[bi] = per_column[j][idx]["b"]
         out[idx] = {"w": w, "b": b}
     return out
 
@@ -235,6 +227,7 @@ def pack_tree(tree: ParamSet, cs: ColumnizedSpec) -> np.ndarray:
 
 
 def unpack_tree(flat: np.ndarray, cs: ColumnizedSpec) -> ParamSet:
+    """Per-layer views into a vector in pack_tree order; writes to either side show in both."""
     if flat.size != cs.column_param_count:
         raise ValidationError(
             f"packed parameter vector has {flat.size} elements, "
@@ -245,9 +238,9 @@ def unpack_tree(flat: np.ndarray, cs: ColumnizedSpec) -> ParamSet:
     for cl in cs.param_layers():
         nw = math.prod(cl.weight_shape)
         nb = math.prod(cl.bias_shape)
-        w = flat[pos : pos + nw].reshape(cl.weight_shape).copy()
+        w = flat[pos : pos + nw].reshape(cl.weight_shape)
         pos += nw
-        b = flat[pos : pos + nb].reshape(cl.bias_shape).copy()
+        b = flat[pos : pos + nb].reshape(cl.bias_shape)
         pos += nb
         out[cl.index] = {"w": w, "b": b}
     return out
@@ -272,16 +265,6 @@ def lists_as_params(values: list[np.ndarray], cs: ColumnizedSpec) -> ParamSet:
 # ---------------------------------------------------------------------------
 # Column engine
 # ---------------------------------------------------------------------------
-
-
-class NullExchange:
-    """Exchange used off-fabric (reference path); m == 1 never crosses."""
-
-    def cross_forward(self, index: int, a: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise AssertionError("single-column network has no cross layers")
-
-    def cross_backward(self, index: int, g: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise AssertionError("single-column network has no cross layers")
 
 
 class FabricExchange:
@@ -339,83 +322,94 @@ class _Meter:
             self.ctx.assert_capacity()
 
 
+def column_forward(
+    cs: ColumnizedSpec,
+    params: ParamSet,
+    x: np.ndarray,
+    exchange: FabricExchange | None,
+    meter: _Meter | None = None,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]]]:
+    """One column's forward pass up to the loss layer.
+
+    Returns (logits, caches): caches holds, per column layer, its input and
+    the pooling argmax (None for other layers), which column_fwd_bwd's
+    backward pass consumes. `exchange` is None when the network has one
+    column, which never crosses.
+    """
+    meter = meter or _Meter(None)
+    a = x
+    meter.note(a)
+    caches: list[tuple[np.ndarray, np.ndarray | None]] = []
+    for cl in cs.col_layers:
+        if cl.cross:
+            a = exchange.cross_forward(cl.index, a)
+            meter.note(a)
+        layer = cl.layer
+        argmax = None
+        if isinstance(layer, Conv):
+            p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
+            out = conv2d_forward(a, p)
+        elif isinstance(layer, FC):
+            out = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
+        elif isinstance(layer, ReLU):
+            out = relu_forward(a)
+        elif isinstance(layer, MaxPool):
+            out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
+        else:  # SoftmaxXent, always last: its flattened input is the logits
+            out = a.reshape(a.shape[0], -1)
+        meter.note(out)  # at the loss layer this accounts its logits-sized workspace
+        caches.append((a, argmax))
+        a = out
+    return a, caches
+
+
 def column_fwd_bwd(
     cs: ColumnizedSpec,
     params: ParamSet,
     x: np.ndarray,
     labels: np.ndarray,
     loss_scale: float,
-    exchange,
+    exchange: FabricExchange | None,
     meter_ctx: Worker | None = None,
 ) -> tuple[float, ParamSet]:
     """One column's forward + backward over a batch; returns (loss, gradients).
 
     The gradient of a replicated head layer is the full gradient (identical in
     every column); gradients of split layers cover only this column's slice.
+    What the step accounted on `meter_ctx` is given back however it exits.
     """
     m = cs.columns
     meter = _Meter(meter_ctx)
-    a = x
-    meter.note(a)
-    caches: list[dict] = []
-    loss = 0.0
-    grad_logits: np.ndarray | None = None
-
-    for cl in cs.col_layers:
-        if cl.cross:
-            a = exchange.cross_forward(cl.index, a)
-            meter.note(a)
-        cache: dict = {"in": a}
-        layer = cl.layer
-        if isinstance(layer, Conv):
-            p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-            out = conv2d_forward(a, p)
-        elif isinstance(layer, FC):
-            flat = a.reshape(a.shape[0], -1)
-            cache["in_flat"] = flat
-            out = fc_forward(flat, params[cl.index]["w"], params[cl.index]["b"])
-        elif isinstance(layer, ReLU):
-            out = relu_forward(a)
-        elif isinstance(layer, MaxPool):
-            out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
-            cache["argmax"] = argmax
-        else:  # SoftmaxXent
-            logits = a.reshape(a.shape[0], -1)
-            loss, grad_logits = softmax_xent_scaled(logits, labels, loss_scale)
-            out = grad_logits  # loss-layer workspace; sized like the logits
-        meter.note(out)
-        caches.append(cache)
-        a = out
-    meter.check()
-
-    grads: ParamSet = {}
-    g: np.ndarray | None = None
-    for pos in range(len(cs.col_layers) - 1, -1, -1):
-        cl = cs.col_layers[pos]
-        cache = caches[pos]
-        layer = cl.layer
-        if isinstance(layer, SoftmaxXent):
-            assert grad_logits is not None
-            g_in = grad_logits.reshape(cache["in"].shape)
-        elif isinstance(layer, Conv):
-            p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-            g_in, gw, gb = conv2d_backward(cache["in"], p, g)
-            grads[cl.index] = {"w": gw, "b": gb}
-        elif isinstance(layer, FC):
-            g_in_flat, gw, gb = fc_backward(cache["in_flat"], params[cl.index]["w"], g)
-            grads[cl.index] = {"w": gw, "b": gb}
-            g_in = g_in_flat.reshape(cache["in"].shape)
-        elif isinstance(layer, ReLU):
-            g_in = relu_backward(cache["in"], g)
-        else:  # MaxPool
-            g_in = maxpool_backward(cache["in"], layer.kernel, layer.stride, g, cache["argmax"])
-        if cl.cross:
-            contribution = g_in / m if cl.shared else g_in
-            g = exchange.cross_backward(cl.index, contribution)
-        else:
-            g = g_in
-
-    meter.release()
+    try:
+        logits, caches = column_forward(cs, params, x, exchange, meter)
+        meter.check()
+        loss, g = softmax_xent_scaled(logits, labels, loss_scale)
+        grads: ParamSet = {}
+        for pos in range(len(cs.col_layers) - 1, -1, -1):
+            cl = cs.col_layers[pos]
+            a, argmax = caches[pos]
+            layer = cl.layer
+            if isinstance(layer, SoftmaxXent):
+                g_in = g.reshape(a.shape)
+            elif isinstance(layer, Conv):
+                p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
+                g_in, gw, gb = conv2d_backward(a, p, g)
+                grads[cl.index] = {"w": gw, "b": gb}
+            elif isinstance(layer, FC):
+                g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), params[cl.index]["w"], g)
+                grads[cl.index] = {"w": gw, "b": gb}
+                g_in = g_in.reshape(a.shape)
+            elif isinstance(layer, ReLU):
+                g_in = relu_backward(a, g)
+            else:  # MaxPool
+                g_in = maxpool_backward(a, layer.kernel, layer.stride, g, argmax)
+            if cl.cross:
+                contribution = g_in / m if cl.shared else g_in
+                g = exchange.cross_backward(cl.index, contribution)
+            else:
+                g = g_in
+    finally:
+        meter.release()
     return loss, grads
 
 
@@ -433,7 +427,6 @@ class StepResult:
     ledger_messages: int = 0
     params: ParamSet | None = None  # updated dense params (reference path only)
     sgd: SgdState | None = None
-    sim_seconds: float | None = None
 
 
 def reference_step(
@@ -444,9 +437,7 @@ def reference_step(
     x, labels = batch
     if x.shape[0] < 1:
         raise ValidationError("reference_step needs a non-empty batch")
-    loss, grads = column_fwd_bwd(
-        cs, params, x, np.asarray(labels), 1.0 / x.shape[0], NullExchange()
-    )
+    loss, grads = column_fwd_bwd(cs, params, x, np.asarray(labels), 1.0 / x.shape[0], None)
     plist = params_as_lists(params, cs)
     glist = params_as_lists(grads, cs)
     if not sgd.velocity:
@@ -464,37 +455,40 @@ def setup_workers(
     cs: ColumnizedSpec,
     dense_params: ParamSet,
     sgd: SgdState,
-    meter: bool = True,
 ) -> None:
-    """Distribute column parameter slices (and column-root velocities) to workers."""
+    """Distribute column parameter slices (and column-root velocities) to workers.
+
+    Each worker keeps its parameters as one flat vector in pack_tree order,
+    plus per-layer views of it for the engine; the column root (replica 0)
+    also keeps a velocity vector of the same layout.
+    """
     if fabric.n != plan.workers:
         raise ValidationError(
             f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
         )
     m = plan.model_columns
+    # built on the host: large buffers allocated in the short-lived worker
+    # threads page-fault afresh on every set-up
+    args = []
+    for wid in range(fabric.n):
+        flat = pack_tree(split_params(dense_params, cs, wid % m), cs)
+        velocity = np.zeros_like(flat) if wid < m else None  # replica 0 roots each column
+        args.append((flat, velocity))
 
-    def program(ctx: Worker):
-        replica, column = divmod(ctx.wid, m)
-        col_params = split_params(dense_params, cs, column)
-        holds_velocity = replica == 0
+    def program(ctx: Worker, flat: np.ndarray, velocity: np.ndarray | None):
         state = ctx.local
         state.clear()
+        replica, column = divmod(ctx.wid, m)
         state["replica"] = replica
         state["column"] = column
-        state["params"] = col_params
+        state["params"] = flat
+        state["layers"] = unpack_tree(flat, cs)
         state["hyper"] = (sgd.learning_rate, sgd.momentum, sgd.weight_decay)
-        if holds_velocity:
-            state["velocity"] = {
-                idx: {k: np.zeros_like(v) for k, v in t.items()} for idx, t in col_params.items()
-            }
-        else:
-            state["velocity"] = None
-        if meter:
-            elements = cs.column_param_count * (2 if holds_velocity else 1)
-            state["resident_bytes"] = ctx.alloc(elements)
-            ctx.assert_capacity()
+        state["velocity"] = velocity
+        ctx.alloc(flat.size * (1 if velocity is None else 2))
+        ctx.assert_capacity()
 
-    fabric.run(program)
+    fabric.run(program, args)
 
 
 def hybrid_step(
@@ -503,7 +497,6 @@ def hybrid_step(
     cs: ColumnizedSpec,
     batch_x: np.ndarray,
     batch_y: np.ndarray,
-    meter: bool = True,
 ) -> StepResult:
     """One synchronous update under an arbitrary d x m plan (the general engine)."""
     d, m = plan.data_shards, plan.model_columns
@@ -514,6 +507,8 @@ def hybrid_step(
     if cs.columns != m:
         raise ValidationError("columnized spec does not match the plan's column count")
     b = batch_x.shape[0]
+    if b < 1:
+        raise ValidationError("hybrid_step needs a non-empty batch")
     if b % d != 0:
         raise ValidationError(f"batch size {b} not divisible by {d} data shards")
     shard = b // d
@@ -532,30 +527,24 @@ def hybrid_step(
     def program(ctx: Worker, shard_x, shard_y):
         state = ctx.local
         replica, column = state["replica"], state["column"]
-        params: ParamSet = state["params"]
-        exchange = FabricExchange(ctx, replica, column, m) if m > 1 else NullExchange()
+        exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
-            cs, params, shard_x, shard_y, loss_scale, exchange, ctx if meter else None
+            cs, state["layers"], shard_x, shard_y, loss_scale, exchange, ctx
         )
         # data-parallel leg: same-column workers combine gradients at the column root
         group = [r * m + column for r in range(d)]
         root = plan.worker_of(0, column)
-        flat_grads = pack_tree(grads, cs)
-        total = ctx.reduce_to_root(group, root, flat_grads)
+        total = ctx.reduce_to_root(group, root, pack_tree(grads, cs))
         if ctx.wid == root:
-            glist = params_as_lists(unpack_tree(total, cs), cs)
-            plist = params_as_lists(params, cs)
-            vlist = [state["velocity"][cl.index][k] for cl in cs.param_layers() for k in ("w", "b")]
             lr, mom, wd = state["hyper"]
-            new_plist, new_sgd = sgd_step(plist, glist, SgdState(lr, mom, wd, vlist))
-            new_params = lists_as_params(new_plist, cs)
-            new_velocity = lists_as_params(new_sgd.velocity, cs)
-            state["velocity"] = new_velocity
-            ctx.broadcast_from_root(group, root, pack_tree(new_params, cs))
+            (new_params,), new_sgd = sgd_step(
+                [state["params"]], [total], SgdState(lr, mom, wd, [state["velocity"]])
+            )
+            state["velocity"] = new_sgd.velocity[0]
+            ctx.broadcast_from_root(group, root, new_params)
         else:
-            packed = ctx.broadcast_from_root(group, root, None)
-            new_params = unpack_tree(packed, cs)
-        state["params"] = new_params
+            new_params = ctx.broadcast_from_root(group, root, None)
+        state["params"][...] = new_params  # in place, so the per-layer views follow
         return loss
 
     results = fabric.run(program, args)
@@ -569,30 +558,9 @@ def hybrid_step(
     )
 
 
-def data_parallel_step(fabric, plan, cs, batch_x, batch_y, meter: bool = True) -> StepResult:
-    """Mini-batch split across d full-model replicas; gradients meet at worker 0."""
-    if plan.model_columns != 1:
-        raise ValidationError("data_parallel_step requires a plan with model_columns == 1")
-    return hybrid_step(fabric, plan, cs, batch_x, batch_y, meter=meter)
-
-
-def model_parallel_step(fabric, plan, cs, batch_x, batch_y, meter: bool = True) -> StepResult:
-    """Full batch through one model split into m columns; updates stay column-local."""
-    if plan.data_shards != 1:
-        raise ValidationError("model_parallel_step requires a plan with data_shards == 1")
-    return hybrid_step(fabric, plan, cs, batch_x, batch_y, meter=meter)
-
-
 def gather_dense_params(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> ParamSet:
-    """Merge replica 0's column parameters back into the dense layout."""
-
-    def program(ctx: Worker):
-        params = ctx.local.get("params")
-        return {
-            idx: {k: v.copy() for k, v in t.items()} for idx, t in params.items()
-        } if params is not None else None
-
-    results = fabric.run(program)
+    """Merge replica 0's column parameters back into the dense layout (fresh copies)."""
+    results = fabric.run(lambda ctx: ctx.local.get("layers"))
     columns = [results[plan.worker_of(0, j)] for j in range(plan.model_columns)]
     return merge_params(columns, cs)
 
@@ -617,32 +585,13 @@ def evaluation_errors(
         if state.get("replica") != 0:
             return None
         column = state["column"]
-        params: ParamSet = state["params"]
-        exchange = FabricExchange(ctx, 0, column, m) if m > 1 else NullExchange()
-        a = x
-        logits = None
-        for cl in cs.col_layers:
-            if cl.cross:
-                a = exchange.cross_forward(cl.index, a)
-            layer = cl.layer
-            if isinstance(layer, Conv):
-                p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-                a = conv2d_forward(a, p)
-            elif isinstance(layer, FC):
-                a = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
-            elif isinstance(layer, ReLU):
-                a = relu_forward(a)
-            elif isinstance(layer, MaxPool):
-                a, _ = maxpool_forward(a, layer.kernel, layer.stride)
-            else:
-                logits = a.reshape(a.shape[0], -1)
+        exchange = FabricExchange(ctx, 0, column, m) if m > 1 else None
+        logits, _ = column_forward(cs, state["layers"], x, exchange)
         if column != 0:
             return None
-        predictions = np.argmax(logits, axis=1)
-        return int(np.count_nonzero(predictions != labels))
+        return int(np.count_nonzero(np.argmax(logits, axis=1) != labels))
 
-    results = fabric.run(program)
-    return results[0]
+    return fabric.run(program)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .netdef import NetworkSpec, columnize, worker_footprint_bytes
 from .schemes import (
     ParallelPlan,
     ParamSet,
+    column_forward,
     evaluation_errors,
     gather_dense_params,
     hybrid_step,
@@ -181,33 +182,10 @@ def evaluate(net: NetworkSpec, params: ParamSet, test: Dataset) -> float:
         hi = min(lo + 256, test.size)
         x = test.images[lo:hi]
         labels = test.labels[lo:hi]
-        # forward only: reuse the engine with a zero-loss scale and read logits
-        logits = _dense_logits(cs, params, x)
+        logits, _ = column_forward(cs, params, x, None)
         predictions = np.argmax(logits, axis=1)
         wrong += int(np.count_nonzero(predictions != labels))
     return wrong / test.size
-
-
-def _dense_logits(cs, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    from .kernels import ConvParams, conv2d_forward, fc_forward, maxpool_forward, relu_forward
-    from .netdef import Conv, FC, MaxPool, ReLU
-
-    a = x
-    logits = None
-    for cl in cs.col_layers:
-        layer = cl.layer
-        if isinstance(layer, Conv):
-            p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-            a = conv2d_forward(a, p)
-        elif isinstance(layer, FC):
-            a = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
-        elif isinstance(layer, ReLU):
-            a = relu_forward(a)
-        elif isinstance(layer, MaxPool):
-            a, _ = maxpool_forward(a, layer.kernel, layer.stride)
-        else:
-            logits = a.reshape(a.shape[0], -1)
-    return logits
 
 
 # ---------------------------------------------------------------------------

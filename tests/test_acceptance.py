@@ -4,6 +4,8 @@ Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the
 per-criterion verdicts inline.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from parconv.kernels import (
     softmax_xent,
 )
 from parconv.metrics import emit_csv, emit_svg
-from parconv.netdef import columnize, cross_connection_bytes, load_network, worker_footprint_bytes
+from parconv.netdef import columnize, load_network, worker_footprint_bytes
 from parconv.schemes import (
     ParallelPlan,
     comm_volume,
@@ -178,7 +180,8 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_communication_accounting():
     """Ledger bytes equal the closed forms byte-exactly: all 4 plans x 2 nets,
-    the 2(d-1)*P*4 data-parallel formula, and cross_connection_bytes."""
+    the 2(d-1)*P*4 data-parallel formula, and the model-parallel cross formula
+    2 * B * (m-1) * 4 bytes per full activation element entering a cross layer."""
     mismatches = []
     for net, cross in ((TINY, (3,)), (MINI, ())):
         for base_plan in PLANS:
@@ -199,7 +202,10 @@ def test_criterion_3_communication_accounting():
                 if step.ledger_bytes != 2 * (plan.data_shards - 1) * p * 4:
                     mismatches.append((net.name, plan.describe(), "dp formula"))
             if plan.data_shards == 1 and plan.model_columns > 1:
-                if step.ledger_bytes != cross_connection_bytes(cs, 8).total:
+                m = plan.model_columns
+                exchanged = sum(2 * 8 * math.prod(cl.in_shape) * (m - 1) * 4
+                                for cl in cs.col_layers if cl.cross)
+                if step.ledger_bytes != exchanged:
                     mismatches.append((net.name, plan.describe(), "cross formula"))
     report(3, not mismatches, f"ledger == closed form for 4 plans x 2 networks "
                               f"(mismatches: {mismatches or 'none'})")

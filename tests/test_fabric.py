@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,31 @@ def test_worker_exception_propagates():
 
     with pytest.raises(ValueError, match="boom"):
         fab.run(program)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_failed_run_leaves_no_stale_messages(sched):
+    fab = spawn(2, scheduling=sched)
+    sent = threading.Event()
+
+    def failing(ctx):
+        if ctx.wid == 0:
+            ctx.send(1, "t", np.array([1.0]))
+            sent.set()
+            return None
+        assert sent.wait(timeout=10)
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        fab.run(failing)
+
+    def program(ctx):
+        if ctx.wid == 0:
+            ctx.send(1, "t", np.array([2.0]))
+            return None
+        return ctx.recv(0, "t").item()
+
+    assert fab.run(program)[1] == 2.0
 
 
 def test_determinism_across_scheduling_modes():

@@ -8,12 +8,13 @@ from parconv.netdef import (
     SoftmaxXent,
     column_footprint_elements,
     columnize,
-    cross_connection_bytes,
     load_network,
     parse_network,
     shape_report,
     worker_footprint_bytes,
 )
+
+from parconv.schemes import ParallelPlan, comm_phases
 
 from oracles import MacCounter, naive_conv2d, naive_matmul
 
@@ -236,7 +237,7 @@ def test_grouped_column_consumes_slice():
 
 def test_cross_bytes_zero_for_single_column():
     net = parse_network(TINY)
-    assert cross_connection_bytes(columnize(net, 1), 16).total == 0
+    assert comm_phases(ParallelPlan(1, 1), columnize(net, 1), 16) == []
 
 
 def test_cross_bytes_hand_count_100_element_slice():
@@ -246,17 +247,19 @@ def test_cross_bytes_hand_count_100_element_slice():
         "input 1 10 10\nconv 2 1 1 0\nrelu\nconv 2 1 1 0\nfc 2\nsoftmax 2\n"
     )
     cs = columnize(net, 2, (2,))
-    cb = cross_connection_bytes(cs, 2)
-    assert cb.per_layer[2] == 3200
+    phases = comm_phases(ParallelPlan(1, 2), cs, 2)
+    assert sum(ph.total_bytes for ph in phases if ph.label in ("cross2-fwd", "cross2-bwd")) == 3200
 
 
 def test_cross_bytes_tinynet_breakdown():
     net = parse_network(TINY)
     cs = columnize(net, 2, (3,))
-    cb = cross_connection_bytes(cs, 4)
+    per_layer = {}
+    for ph in comm_phases(ParallelPlan(1, 2, (3,)), cs, 4):
+        index = int(ph.label[len("cross"):].split("-")[0])
+        per_layer[index] = per_layer.get(index, 0) + ph.total_bytes
     # full maps entering each cross: 512, 512, and 32 elements per sample
-    assert cb.per_layer == {3: 2 * 4 * 512 * 4, 5: 2 * 4 * 512 * 4, 7: 2 * 4 * 32 * 4}
-    assert cb.total == sum(cb.per_layer.values())
+    assert per_layer == {3: 2 * 4 * 512 * 4, 5: 2 * 4 * 512 * 4, 7: 2 * 4 * 32 * 4}
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,16 @@ import pytest
 from parconv.errors import ValidationError
 from parconv.fabric import spawn
 from parconv.kernels import SgdState
-from parconv.netdef import columnize, cross_connection_bytes, load_network
+from parconv.netdef import columnize, load_network
 from parconv.schemes import (
-    NullExchange,
     ParallelPlan,
     column_fwd_bwd,
+    comm_phases,
     comm_volume,
-    data_parallel_step,
     gather_dense_params,
     hybrid_step,
     init_dense_params,
     merge_params,
-    model_parallel_step,
     pack_tree,
     parse_plan,
     plan_columnized,
@@ -27,6 +25,7 @@ from parconv.schemes import (
 
 TINY = load_network("configs/tinynet.net")
 MINI = load_network("configs/minicnn.net")
+MID = load_network("stepbench/configs/midnet.net")
 
 
 def make_batch(net, b, seed=0):
@@ -186,7 +185,7 @@ def test_data_parallel_d1_bit_identical_to_reference():
 
     ref_params = init_dense_params(TINY, 2)
     ref = reference_step(TINY, ref_params, (x, y), SgdState())
-    step = data_parallel_step(fab, plan, cs, x, y)
+    step = hybrid_step(fab, plan, cs, x, y)
     assert step.loss == ref.loss  # bit-identical
     assert max_rel(gather_dense_params(fab, plan, cs), ref.params) == 0.0
     assert step.ledger_bytes == 0
@@ -212,7 +211,7 @@ def test_data_parallel_ledger_formula():
     fab = spawn(2)
     setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
     x, y = make_batch(TINY, 8)
-    step = data_parallel_step(fab, plan, cs, x, y)
+    step = hybrid_step(fab, plan, cs, x, y)
     p = cs.column_param_count
     assert step.ledger_bytes == 2 * (2 - 1) * p * 4
     assert step.ledger_messages == 2
@@ -225,19 +224,40 @@ def test_data_parallel_requires_divisible_batch():
     setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
     x, y = make_batch(TINY, 5)
     with pytest.raises(ValidationError, match="divisible"):
-        data_parallel_step(fab, plan, cs, x, y)
+        hybrid_step(fab, plan, cs, x, y)
 
 
 def test_wrapper_plan_validation():
     fab = spawn(2)
     cs = plan_columnized(TINY, ParallelPlan(2, 1))
     x, y = make_batch(TINY, 4)
-    with pytest.raises(ValidationError):
-        data_parallel_step(fab, ParallelPlan(1, 2, (3,)), cs, x, y)
-    with pytest.raises(ValidationError):
-        model_parallel_step(fab, ParallelPlan(2, 1), cs, x, y)
+    with pytest.raises(ValidationError, match="column count"):
+        hybrid_step(fab, ParallelPlan(1, 2, (3,)), cs, x, y)
     with pytest.raises(ValidationError, match="workers"):
         hybrid_step(spawn(3), ParallelPlan(2, 2, (3,)), plan_columnized(TINY, ParallelPlan(2, 2, (3,))), x, y)
+
+
+def test_failed_step_gives_back_accounted_memory():
+    plan = ParallelPlan(1, 2, (3,))
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(2)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    before = list(fab.meter.current)
+    x, y = make_batch(TINY, 4)
+    y[0] = 99  # no such class: the loss layer raises mid-step
+    with pytest.raises(ValidationError, match="labels"):
+        hybrid_step(fab, plan, cs, x, y)
+    assert fab.meter.current == before
+
+
+def test_empty_batch_rejected():
+    plan = ParallelPlan(2, 1)
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(2)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    x, y = make_batch(TINY, 0)
+    with pytest.raises(ValidationError, match="non-empty"):
+        hybrid_step(fab, plan, cs, x, y)
 
 
 def test_model_parallel_matches_reference_after_10_steps():
@@ -254,14 +274,16 @@ def test_model_parallel_matches_reference_after_10_steps():
     assert max_rel(merged, params) < 1e-9
 
 
-def test_model_parallel_ledger_equals_cross_connection_bytes():
+def test_model_parallel_ledger_equals_cross_phases():
     plan = ParallelPlan(1, 2, (3,))
     cs = plan_columnized(TINY, plan)
     fab = spawn(2)
     setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
     x, y = make_batch(TINY, 6)
-    step = model_parallel_step(fab, plan, cs, x, y)
-    assert step.ledger_bytes == cross_connection_bytes(cs, 6).total
+    step = hybrid_step(fab, plan, cs, x, y)
+    phases = comm_phases(plan, cs, 6)
+    assert all(ph.label.startswith("cross") for ph in phases)
+    assert step.ledger_bytes == sum(ph.total_bytes for ph in phases)
 
 
 def test_reparameterization_bijection_single_step():
@@ -278,19 +300,6 @@ def test_reparameterization_bijection_single_step():
 
     ref = reference_step(TINY, dense, (x, y), SgdState())
     assert max_rel(merged, ref.params) < 1e-12
-
-
-def test_hybrid_degenerate_grid_equals_model_parallel():
-    plan_h = ParallelPlan(1, 2, (3,))
-    batches = [make_batch(TINY, 8, seed=200 + s) for s in range(3)]
-    losses_a, merged_a, fab_a = run_plan(TINY, plan_h, batches, seed=3)
-    # second run through the model_parallel wrapper
-    cs = plan_columnized(TINY, plan_h)
-    fab_b = spawn(2)
-    setup_workers(fab_b, plan_h, cs, init_dense_params(TINY, 3), SgdState())
-    losses_b = [model_parallel_step(fab_b, plan_h, cs, x, y).loss for x, y in batches]
-    assert losses_a == losses_b
-    assert fab_a.ledger.snapshot() == fab_b.ledger.snapshot()
 
 
 def test_hybrid_2x2_matches_reference():
@@ -316,7 +325,8 @@ def test_hybrid_ledger_decomposition():
     b = 8
     x, y = make_batch(TINY, b)
     step = hybrid_step(fab, plan, cs, x, y)
-    cross_per_replica = cross_connection_bytes(cs, b // 2).total
+    one_replica = comm_phases(ParallelPlan(1, 2, (3,)), cs, b // 2)
+    cross_per_replica = sum(ph.total_bytes for ph in one_replica)
     dp_round_trip = 2 * (2 - 1) * cs.column_param_count * 4 * 2  # per column, 2 columns
     assert step.ledger_bytes == cross_per_replica * 2 + dp_round_trip
 
@@ -331,9 +341,9 @@ def test_shard_gradients_sum_to_full_batch_gradient():
     cs = columnize(TINY, 1)
     params = init_dense_params(TINY, 8)
     x, y = make_batch(TINY, 8, seed=8)
-    _, full = column_fwd_bwd(cs, params, x, y, 1.0 / 8, NullExchange())
-    _, left = column_fwd_bwd(cs, params, x[:4], y[:4], 1.0 / 8, NullExchange())
-    _, right = column_fwd_bwd(cs, params, x[4:], y[4:], 1.0 / 8, NullExchange())
+    _, full = column_fwd_bwd(cs, params, x, y, 1.0 / 8, None)
+    _, left = column_fwd_bwd(cs, params, x[:4], y[:4], 1.0 / 8, None)
+    _, right = column_fwd_bwd(cs, params, x[4:], y[4:], 1.0 / 8, None)
     for idx in full:
         for key in ("w", "b"):
             combined = left[idx][key] + right[idx][key]
@@ -351,7 +361,7 @@ def test_losses_are_finite_and_plan_loss_is_full_batch_mean():
     params = init_dense_params(TINY, 6)
     cs1 = columnize(TINY, 1)
     logits = None
-    loss_ref, _ = column_fwd_bwd(cs1, params, x, y, 1.0 / 8, NullExchange())
+    loss_ref, _ = column_fwd_bwd(cs1, params, x, y, 1.0 / 8, None)
     assert abs(step.loss - loss_ref) < 1e-12
 
 
@@ -367,7 +377,31 @@ def test_comm_volume_trivial_and_dp():
     assert comm_volume(ParallelPlan(2, 1), TINY, 8).bytes == 2 * p * 4
 
 
-@pytest.mark.parametrize("net", [TINY, MINI])
+def phase_links(plan, cs, batch):
+    """{(src, dst): (bytes, messages)} per step as comm_phases implies: each
+    phase's per-pair load on every link between columns of one replica
+    (cross phases) or between a column root and its replicas (collectives)."""
+    d, m = plan.data_shards, plan.model_columns
+    links = {}
+    for ph in comm_phases(plan, cs, batch):
+        if ph.label.startswith("cross"):
+            pair = ph.max_node_bytes // (m - 1)
+            pairs = [(plan.worker_of(r, j), plan.worker_of(r, k))
+                     for r in range(d) for j in range(m) for k in range(m) if j != k]
+        else:
+            pair = ph.max_node_bytes // (d - 1)
+            pairs = [(plan.worker_of(r, j), plan.worker_of(0, j))
+                     for j in range(m) for r in range(1, d)]
+            if ph.label == "param-broadcast":
+                pairs = [(dst, src) for src, dst in pairs]
+        assert pair * len(pairs) == ph.total_bytes and len(pairs) == ph.total_messages
+        for link in pairs:
+            nbytes, count = links.get(link, (0, 0))
+            links[link] = (nbytes + pair, count + 1)
+    return links
+
+
+@pytest.mark.parametrize("net", [TINY, MINI, MID])
 @pytest.mark.parametrize(
     "plan",
     [
@@ -376,19 +410,32 @@ def test_comm_volume_trivial_and_dp():
         ParallelPlan(1, 2),
         ParallelPlan(2, 2),
         ParallelPlan(4, 1),
+        ParallelPlan(1, 4),
     ],
 )
 def test_ledger_equals_comm_volume(net, plan):
-    if plan.model_columns > 1 and net is TINY:
+    if plan.model_columns > 1 and net is not MINI:
         plan = ParallelPlan(plan.data_shards, plan.model_columns, (3,))
     cs = plan_columnized(net, plan)
     fab = spawn(plan.workers)
     setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
     x, y = make_batch(net, 8)
+    expected_links = phase_links(plan, cs, 8)
+    if plan.data_shards > 1:  # each same-column link carries P * 4 bytes each way
+        root, other = plan.worker_of(0, 0), plan.worker_of(1, 0)
+        assert expected_links[(root, other)] == expected_links[(other, root)]
+        assert expected_links[(root, other)][0] == cs.column_param_count * 4
     for _ in range(2):  # steady-state step deltas
         before_b, before_m = fab.ledger.total_bytes, fab.ledger.total_messages
+        before_links = fab.ledger.snapshot()
         step = hybrid_step(fab, plan, cs, x, y)
         volume = comm_volume(plan, net, 8)
         assert step.ledger_bytes == volume.bytes
         assert step.ledger_messages == volume.messages
         assert fab.ledger.total_bytes - before_b == volume.bytes
+        delta = {}
+        for link, (nbytes, count) in fab.ledger.snapshot().items():
+            old_bytes, old_count = before_links.get(link, (0, 0))
+            if (nbytes, count) != (old_bytes, old_count):
+                delta[link] = (nbytes - old_bytes, count - old_count)
+        assert delta == expected_links
