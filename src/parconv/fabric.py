@@ -2,18 +2,20 @@
 
 Workers model devices with disjoint memory spaces. They interact only through
 send/recv on directed (src, dst, tag) channels; every transfer is counted in
-a byte-exact ledger (element count x wire element size, default 4 bytes, the
+a byte-exact ledger (element count x netdef.WIRE_ELEMENT_SIZE, the
 stored/transmitted scalar width being modelled) while the payload itself
 moves at full float64 precision.
 
 Two scheduling modes must produce bit-identical results and ledgers:
 
   * "lockstep": workers execute one at a time; a worker runs until it blocks
-    on an empty channel or finishes, then the turn passes round-robin. Gives
-    exact deadlock detection (no runnable worker + unfinished workers).
-  * "threads": workers run as free preemptive threads with blocking recv;
-    deadlock is diagnosed by bounded idle (all unfinished workers blocked
-    with no delivery progress for idle_timeout seconds).
+    on an empty channel or finishes, then the turn passes round-robin.
+  * "threads": workers run as free preemptive threads with blocking recv.
+
+Every send, recv and finish happens under one condition variable, so in both
+modes deadlock is detected exactly, the moment a worker blocks or finishes
+and leaves no unfinished worker able to run. A message still undelivered when
+a successful run ends is a protocol bug and fails the run.
 
 Determinism holds because worker programs are deterministic, channels are
 FIFO per (src, dst, tag), and no arithmetic here depends on arrival timing.
@@ -22,15 +24,13 @@ FIFO per (src, dst, tag), and no arithmetic here depends on arrival timing.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DeadlockError, ValidationError
-
-_IDLE_SLICE = 0.02
+from .errors import CapacityError, DeadlockError, ParconvError, ValidationError
+from .netdef import WIRE_ELEMENT_SIZE
 
 
 @dataclass
@@ -38,11 +38,11 @@ class DeviceSpec:
     """Per-device capacity and the accounted bytes per scalar."""
 
     memory_capacity: int = 6 * 1024**3
-    wire_element_size: int = 4
+    wire_element_size = WIRE_ELEMENT_SIZE  # a class constant, not a field
 
     def __post_init__(self):
-        if self.memory_capacity <= 0 or self.wire_element_size <= 0:
-            raise ValidationError("device capacity and wire element size must be positive")
+        if self.memory_capacity <= 0:
+            raise ValidationError("device capacity must be positive")
 
 
 class CommLedger:
@@ -122,8 +122,6 @@ class Worker:
             if fab._error is not None:
                 raise _Abort()
             fab._channels.setdefault((self.wid, dst, tag), deque()).append(payload)
-            fab._progress += 1
-            fab._last_progress = time.monotonic()
             fab._cond.notify_all()
         fab.ledger.record(self.wid, dst, payload.size * fab.device.wire_element_size)
 
@@ -131,16 +129,8 @@ class Worker:
         fab = self.fabric
         key = (src, self.wid, tag)
         with fab._cond:
-            while True:
-                if fab._error is not None:
-                    raise _Abort()
-                queue = fab._channels.get(key)
-                if queue:
-                    return queue.popleft()
-                if fab.scheduling == "lockstep":
-                    fab._block_lockstep(self.wid, key)
-                else:
-                    fab._block_threads(self.wid, key)
+            fab._block(self.wid, key)
+            return fab._channels[key].popleft()
 
     # -- collectives (built on send/recv) ------------------------------------
     def reduce_to_root(self, group, root: int, value: np.ndarray, tag="reduce") -> np.ndarray | None:
@@ -179,7 +169,7 @@ class Worker:
 
 class Fabric:
     def __init__(self, n: int, device: DeviceSpec | None = None,
-                 scheduling: str = "lockstep", idle_timeout: float = 5.0):
+                 scheduling: str = "lockstep"):
         if n < 1:
             raise ValidationError(f"fabric needs at least one worker, got {n}")
         if scheduling not in ("lockstep", "threads"):
@@ -187,7 +177,6 @@ class Fabric:
         self.n = n
         self.device = device or DeviceSpec()
         self.scheduling = scheduling
-        self.idle_timeout = idle_timeout
         self.ledger = CommLedger()
         self.meter = MemoryMeter(n)
         self._local = [dict() for _ in range(n)]
@@ -196,10 +185,8 @@ class Fabric:
         self._error: BaseException | None = None
         # scheduler state (reset per run)
         self._turn = 0
-        self._blocked: dict[int, tuple] = {}
+        self._blocked: dict[int, tuple | None] = {}
         self._finished: set[int] = set()
-        self._progress = 0
-        self._last_progress = time.monotonic()
 
     @property
     def num_links(self) -> int:
@@ -214,30 +201,13 @@ class Fabric:
     def _runnable(self, wid: int) -> bool:
         if wid in self._finished:
             return False
-        blocked_on = self._blocked.get(wid)
-        if blocked_on is None:
-            return True
-        queue = self._channels.get(blocked_on)
-        return bool(queue)
-
-    def _advance_turn(self, from_wid: int) -> None:
-        for k in range(1, self.n + 1):
-            cand = (from_wid + k) % self.n
-            if self._runnable(cand):
-                self._turn = cand
-                self._cond.notify_all()
-                return
-        if len(self._finished) == self.n:
-            return
-        if self._error is None:
-            self._error = self._deadlock_error()
-        self._cond.notify_all()
+        key = self._blocked.get(wid)
+        return key is None or bool(self._channels.get(key))
 
     def _deadlock_error(self) -> DeadlockError:
         waiting = {
             wid: {"src": key[0], "tag": key[2]}
             for wid, key in sorted(self._blocked.items())
-            if wid not in self._finished
         }
         desc = "; ".join(
             f"worker {wid} waits on recv(src={info['src']}, tag={info['tag']!r})"
@@ -245,36 +215,32 @@ class Fabric:
         )
         return DeadlockError(f"fabric deadlock: no worker can make progress ({desc})", waiting)
 
-    def _block_lockstep(self, wid: int, key) -> None:
+    def _block(self, wid: int, key: tuple | None = None) -> None:
+        """Wait until worker `wid` may run: channel `key` holds a message (key
+        None: at once) and, under lockstep, the turn is `wid`'s."""
         self._blocked[wid] = key
-        self._advance_turn(wid)
+        if not self._runnable(wid):
+            self._yield(wid)
         while True:
             if self._error is not None:
                 raise _Abort()
-            if self._turn == wid and self._runnable(wid):
+            if self._runnable(wid) and (self._turn == wid or self.scheduling == "threads"):
                 del self._blocked[wid]
                 return
             self._cond.wait()
 
-    def _block_threads(self, wid: int, key) -> None:
-        self._blocked[wid] = key
-        try:
-            while True:
-                if self._error is not None:
-                    raise _Abort()
-                queue = self._channels.get(key)
-                if queue:
-                    return
-                unfinished = self.n - len(self._finished)
-                idle = time.monotonic() - self._last_progress
-                if len(self._blocked) >= unfinished and idle > self.idle_timeout:
-                    self._error = self._deadlock_error()
-                    self._cond.notify_all()
-                    raise _Abort()
-                self._cond.wait(_IDLE_SLICE)
-        finally:
-            if self._error is None:
-                del self._blocked[wid]
+    def _yield(self, wid: int) -> None:
+        """Worker `wid` blocked or finished: pass the turn round-robin to the next
+        runnable worker, or fail the run if no unfinished worker can run."""
+        for k in range(1, self.n + 1):
+            cand = (wid + k) % self.n
+            if self._runnable(cand):
+                self._turn = cand
+                break
+        else:
+            if len(self._finished) < self.n and self._error is None:
+                self._error = self._deadlock_error()
+        self._cond.notify_all()
 
     # -- running programs ------------------------------------------------------
     def run(self, program, args: list[tuple] | None = None) -> list:
@@ -295,18 +261,12 @@ class Fabric:
             self._blocked = {}
             self._finished = set()
             self._turn = 0
-            self._last_progress = time.monotonic()
 
         def runner(wid: int):
-            ctx = Worker(self, wid)
             try:
-                if self.scheduling == "lockstep":
-                    with self._cond:
-                        while self._turn != wid:
-                            if self._error is not None:
-                                raise _Abort()
-                            self._cond.wait()
-                results[wid] = program(ctx, *args[wid])
+                with self._cond:
+                    self._block(wid)
+                results[wid] = program(Worker(self, wid), *args[wid])
             except _Abort:
                 pass
             except BaseException as err:  # noqa: BLE001 - surfaced via run()
@@ -314,17 +274,11 @@ class Fabric:
                 with self._cond:
                     if self._error is None:
                         self._error = err
-                    self._cond.notify_all()
-                return
             finally:
                 with self._cond:
                     self._finished.add(wid)
                     self._blocked.pop(wid, None)
-                    self._progress += 1
-                    self._last_progress = time.monotonic()
-                    if self.scheduling == "lockstep" and self._turn == wid:
-                        self._advance_turn(wid)
-                    self._cond.notify_all()
+                    self._yield(wid)
 
         threads = [threading.Thread(target=runner, args=(w,), daemon=True) for w in range(self.n)]
         for t in threads:
@@ -332,13 +286,18 @@ class Fabric:
         for t in threads:
             t.join()
 
+        # no message outlives its run, so a stale payload cannot reach the next one
+        leftover = [f"({src}, {dst}, {tag!r}) x{len(q)}"
+                    for (src, dst, tag), q in self._channels.items() if q]
+        self._channels.clear()
         if failures or self._error is not None:
-            self._channels.clear()  # undelivered messages of a failed run must not reach the next
             raise failures[min(failures)] if failures else self._error
+        if leftover:
+            raise ParconvError("fabric run ended with undelivered messages (src, dst, tag): "
+                               + ", ".join(sorted(leftover)))
         return results
 
 
-def spawn(n: int, device: DeviceSpec | None = None, scheduling: str = "lockstep",
-          idle_timeout: float = 5.0) -> Fabric:
+def spawn(n: int, device: DeviceSpec | None = None, scheduling: str = "lockstep") -> Fabric:
     """Create a fabric of n isolated workers."""
-    return Fabric(n, device=device, scheduling=scheduling, idle_timeout=idle_timeout)
+    return Fabric(n, device=device, scheduling=scheduling)

@@ -483,12 +483,9 @@ def column_footprint_elements(cs: ColumnizedSpec, per_device_batch: int) -> tupl
 
 
 def worker_footprint_bytes(
-    cs: ColumnizedSpec,
-    per_device_batch: int,
-    holds_velocity: bool = True,
-    elem: int = WIRE_ELEMENT_SIZE,
+    cs: ColumnizedSpec, per_device_batch: int, holds_velocity: bool = True
 ) -> int:
     """Accounted resident bytes for one worker: params (+ velocity) + live activations."""
     params, acts = column_footprint_elements(cs, per_device_batch)
     state = params * (2 if holds_velocity else 1)
-    return (state + acts) * elem
+    return (state + acts) * WIRE_ELEMENT_SIZE

@@ -477,6 +477,7 @@ def setup_workers(
 
     def program(ctx: Worker, flat: np.ndarray, velocity: np.ndarray | None):
         state = ctx.local
+        ctx.free_bytes(state.get("accounted", 0))  # a previous set-up's vectors
         state.clear()
         replica, column = divmod(ctx.wid, m)
         state["replica"] = replica
@@ -485,10 +486,17 @@ def setup_workers(
         state["layers"] = unpack_tree(flat, cs)
         state["hyper"] = (sgd.learning_rate, sgd.momentum, sgd.weight_decay)
         state["velocity"] = velocity
-        ctx.alloc(flat.size * (1 if velocity is None else 2))
+        state["accounted"] = ctx.alloc(flat.size * (1 if velocity is None else 2))
         ctx.assert_capacity()
 
     fabric.run(program, args)
+
+
+def _state(ctx: Worker) -> dict:
+    """The worker's state from setup_workers; raises naming the worker if there is none."""
+    if "params" not in ctx.local:
+        raise ValidationError(f"worker {ctx.wid} has no parameters; run setup_workers first")
+    return ctx.local
 
 
 def hybrid_step(
@@ -525,7 +533,7 @@ def hybrid_step(
     before_m = fabric.ledger.total_messages
 
     def program(ctx: Worker, shard_x, shard_y):
-        state = ctx.local
+        state = _state(ctx)
         replica, column = state["replica"], state["column"]
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
@@ -560,7 +568,7 @@ def hybrid_step(
 
 def gather_dense_params(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> ParamSet:
     """Merge replica 0's column parameters back into the dense layout (fresh copies)."""
-    results = fabric.run(lambda ctx: ctx.local.get("layers"))
+    results = fabric.run(lambda ctx: _state(ctx)["layers"])
     columns = [results[plan.worker_of(0, j)] for j in range(plan.model_columns)]
     return merge_params(columns, cs)
 
@@ -581,8 +589,8 @@ def evaluation_errors(
     labels = np.asarray(labels, dtype=np.int64)
 
     def program(ctx: Worker):
-        state = ctx.local
-        if state.get("replica") != 0:
+        state = _state(ctx)
+        if state["replica"] != 0:
             return None
         column = state["column"]
         exchange = FabricExchange(ctx, 0, column, m) if m > 1 else None
@@ -616,9 +624,7 @@ class CommPhase:
     max_node_messages: int
 
 
-def comm_phases(
-    plan: ParallelPlan, cs: ColumnizedSpec, batch: int, wire: int = WIRE_ELEMENT_SIZE
-) -> list[CommPhase]:
+def comm_phases(plan: ParallelPlan, cs: ColumnizedSpec, batch: int) -> list[CommPhase]:
     d, m = plan.data_shards, plan.model_columns
     if batch % d != 0:
         raise ValidationError(f"batch size {batch} not divisible by {d} data shards")
@@ -627,7 +633,7 @@ def comm_phases(
     cross = [cl for cl in cs.col_layers if cl.cross]
     for cl in cross:
         slice_elems = math.prod(cl.in_shape) // m
-        pair_bytes = shard * slice_elems * wire
+        pair_bytes = shard * slice_elems * WIRE_ELEMENT_SIZE
         phases.append(
             CommPhase(
                 label=f"cross{cl.index}-fwd",
@@ -639,7 +645,7 @@ def comm_phases(
         )
     for cl in reversed(cross):
         slice_elems = math.prod(cl.in_shape) // m
-        pair_bytes = shard * slice_elems * wire
+        pair_bytes = shard * slice_elems * WIRE_ELEMENT_SIZE
         phases.append(
             CommPhase(
                 label=f"cross{cl.index}-bwd",
@@ -650,7 +656,7 @@ def comm_phases(
             )
         )
     if d > 1:
-        col_bytes = cs.column_param_count * wire
+        col_bytes = cs.column_param_count * WIRE_ELEMENT_SIZE
         for label in ("grad-reduce", "param-broadcast"):
             phases.append(
                 CommPhase(
@@ -670,12 +676,10 @@ class CommVolume:
     messages: int
 
 
-def comm_volume(
-    plan: ParallelPlan, net: NetworkSpec, batch: int, wire: int = WIRE_ELEMENT_SIZE
-) -> CommVolume:
+def comm_volume(plan: ParallelPlan, net: NetworkSpec, batch: int) -> CommVolume:
     """Closed-form bytes/messages per step; equals the measured ledger exactly."""
     cs = plan_columnized(net, plan)
-    phases = comm_phases(plan, cs, batch, wire)
+    phases = comm_phases(plan, cs, batch)
     return CommVolume(
         bytes=sum(p.total_bytes for p in phases),
         messages=sum(p.total_messages for p in phases),

@@ -1,10 +1,31 @@
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from parconv.errors import CapacityError, DeadlockError, ValidationError
+from parconv.errors import CapacityError, DeadlockError, ParconvError, ValidationError
 from parconv.fabric import DeviceSpec, spawn
+
+
+def _run_bounded(fab, program, timeout=60.0):
+    """fab.run(program) on a daemon thread, so a hung run fails the test instead of hanging it."""
+    out = []
+
+    def target():
+        try:
+            out.append(fab.run(program))
+        except BaseException as err:  # noqa: BLE001 - re-raised below
+            out.append(err)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "fabric run hung"
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
 
 
 def test_spawn_requires_workers():
@@ -184,26 +205,62 @@ def test_sent_tensors_are_copies():
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])
 def test_deadlock_detected(sched):
-    fab = spawn(2, scheduling=sched, idle_timeout=0.2)
+    fab = spawn(2, scheduling=sched)
 
     def program(ctx):
         ctx.recv(1 - ctx.wid, "never")
 
     with pytest.raises(DeadlockError) as info:
-        fab.run(program)
+        _run_bounded(fab, program)
     assert "recv" in str(info.value)
     assert info.value.waiting
 
 
 def test_self_deadlock_single_worker():
-    fab = spawn(2, idle_timeout=0.2)
+    fab = spawn(2)
 
     def program(ctx):
         if ctx.wid == 0:
             ctx.recv(1, "missing")
 
     with pytest.raises(DeadlockError):
-        fab.run(program)
+        _run_bounded(fab, program)
+
+
+def test_threads_deadlock_reported_at_once_naming_every_waiter():
+    fab = spawn(3, scheduling="threads")
+
+    def program(ctx):
+        ctx.recv((ctx.wid + 1) % 3, ("never", ctx.wid))
+
+    t0 = time.perf_counter()
+    with pytest.raises(DeadlockError) as info:
+        _run_bounded(fab, program)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.waiting == {
+        w: {"src": (w + 1) % 3, "tag": ("never", w)} for w in range(3)
+    }
+    for w in range(3):
+        assert f"worker {w} waits on recv(src={(w + 1) % 3}, tag=('never', {w}))" in str(info.value)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_deadlock_when_last_runnable_worker_finishes(sched):
+    fab = spawn(2, scheduling=sched)
+
+    def program(ctx):
+        if ctx.wid == 0:
+            ctx.recv(1, "missing")
+            return
+        # finish only once worker 0 waits, so the finish is what leaves no worker runnable
+        deadline = time.monotonic() + 10
+        while fab._blocked.get(0) != (1, 0, "missing"):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    with pytest.raises(DeadlockError) as info:
+        _run_bounded(fab, program)
+    assert info.value.waiting == {0: {"src": 1, "tag": "missing"}}
 
 
 def test_worker_exception_propagates():
@@ -243,28 +300,78 @@ def test_failed_run_leaves_no_stale_messages(sched):
     assert fab.run(program)[1] == 2.0
 
 
-def test_determinism_across_scheduling_modes():
-    def program(ctx):
-        acc = np.full(4, float(ctx.wid))
-        for step in range(5):
-            ctx.send((ctx.wid + 1) % 4, ("ring", step), acc)
-            acc = acc + ctx.recv((ctx.wid - 1) % 4, ("ring", step))
-        total = ctx.reduce_to_root(range(4), 0, acc)
-        if ctx.wid == 0:
-            ctx.broadcast_from_root(range(4), 0, total)
-            return total
-        return ctx.broadcast_from_root(range(4), 0, None)
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_undelivered_message_fails_a_successful_run(sched):
+    fab = spawn(3, scheduling=sched)
 
+    def program(ctx):
+        if ctx.wid == 0:
+            ctx.send(1, "x", np.ones(2))
+            ctx.send(1, "x", np.ones(2))
+            ctx.send(2, ("y", 3), np.ones(1))
+
+    with pytest.raises(ParconvError) as info:
+        fab.run(program)
+    assert not isinstance(info.value, ValidationError)
+    assert "(0, 1, 'x') x2" in str(info.value)
+    assert "(0, 2, ('y', 3)) x1" in str(info.value)
+
+    def receive(ctx):
+        if ctx.wid == 0:
+            ctx.send(1, "x", np.array([2.0]))
+            return None
+        return ctx.recv(0, "x").item() if ctx.wid == 1 else None
+
+    assert fab.run(receive)[1] == 2.0
+
+
+def _ring_reduce(ctx):
+    """Five ring shifts, then a reduce to worker 0 and a broadcast back."""
+    n = ctx.n
+    acc = np.full(4, float(ctx.wid))
+    for step in range(5):
+        ctx.send((ctx.wid + 1) % n, ("ring", step), acc)
+        acc = acc + ctx.recv((ctx.wid - 1) % n, ("ring", step))
+    total = ctx.reduce_to_root(range(n), 0, acc)
+    if ctx.wid == 0:
+        ctx.broadcast_from_root(range(n), 0, total)
+        return total
+    return ctx.broadcast_from_root(range(n), 0, None)
+
+
+def test_determinism_across_scheduling_modes():
     snapshots = []
     outputs = []
     for sched in ("lockstep", "threads"):
         fab = spawn(4, scheduling=sched)
-        results = fab.run(program)
+        results = fab.run(_ring_reduce)
         outputs.append(results)
         snapshots.append(fab.ledger.snapshot())
     assert snapshots[0] == snapshots[1]
     for a, b in zip(*outputs):
         assert np.array_equal(a, b)
+
+
+def test_threads_stress_matches_lockstep():
+    """8 workers (more than the cores) under a tiny switch interval: no false
+    deadlock, no lost message, results and ledger equal to lockstep's."""
+    ref = spawn(8)
+    want = ref.run(_ring_reduce)
+    want_ledger = ref.ledger.snapshot()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5
+        runs = 0
+        while runs < 200 and (runs < 3 or time.monotonic() < deadline):
+            fab = spawn(8, scheduling="threads")
+            got = _run_bounded(fab, _ring_reduce)
+            assert fab.ledger.snapshot() == want_ledger
+            for a, b in zip(want, got):
+                assert np.array_equal(a, b)
+            runs += 1
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_ledger_conservation():

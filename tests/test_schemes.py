@@ -10,6 +10,7 @@ from parconv.schemes import (
     column_fwd_bwd,
     comm_phases,
     comm_volume,
+    evaluation_errors,
     gather_dense_params,
     hybrid_step,
     init_dense_params,
@@ -258,6 +259,45 @@ def test_empty_batch_rejected():
     x, y = make_batch(TINY, 0)
     with pytest.raises(ValidationError, match="non-empty"):
         hybrid_step(fab, plan, cs, x, y)
+
+
+def test_second_setup_gives_back_accounted_memory():
+    plan = ParallelPlan(2, 1)
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(2)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    first = list(fab.meter.current)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 1), SgdState())
+    assert fab.meter.current == first
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fab, plan, cs, x, y: hybrid_step(fab, plan, cs, x, y),
+        lambda fab, plan, cs, x, y: evaluation_errors(fab, plan, cs, x, y),
+        lambda fab, plan, cs, x, y: gather_dense_params(fab, plan, cs),
+    ],
+    ids=["hybrid_step", "evaluation_errors", "gather_dense_params"],
+)
+def test_workers_never_set_up_are_named(call):
+    plan = ParallelPlan(1, 1)
+    x, y = make_batch(TINY, 4)
+    with pytest.raises(ValidationError, match="worker 0 has no parameters; run setup_workers"):
+        call(spawn(1), plan, plan_columnized(TINY, plan), x, y)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_paper_plans_leave_no_message_behind(sched):
+    """A run that ends with an undelivered message raises, so each call passing is the check."""
+    x, y = make_batch(TINY, 8)
+    for d, m in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1)]:
+        plan = ParallelPlan(d, m, (3,) if m > 1 else ())
+        cs = plan_columnized(TINY, plan)
+        fab = spawn(plan.workers, scheduling=sched)
+        setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+        hybrid_step(fab, plan, cs, x, y)
+        assert 0 <= evaluation_errors(fab, plan, cs, x, y) <= 8
 
 
 def test_model_parallel_matches_reference_after_10_steps():
