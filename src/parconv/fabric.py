@@ -127,6 +127,8 @@ class Worker:
 
     def recv(self, src: int, tag) -> np.ndarray:
         fab = self.fabric
+        if not 0 <= src < fab.n or src == self.wid:
+            raise ValidationError(f"worker {self.wid}: invalid source {src}")
         key = (src, self.wid, tag)
         with fab._cond:
             fab._block(self.wid, key)

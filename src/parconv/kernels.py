@@ -70,17 +70,20 @@ class ConvParams:
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
-    """Spatial output extent; raises if the geometry does not tile exactly."""
+    """Spatial output extent of a conv or pooling window; raises ValidationError
+    unless kernel >= 1, stride >= 1, pad >= 0 and the geometry tiles exactly."""
+    if kernel < 1 or stride < 1 or pad < 0:
+        raise ValidationError(
+            f"window needs kernel >= 1, stride >= 1 and pad >= 0: "
+            f"kernel {kernel}, stride {stride}, pad {pad}"
+        )
     span = extent + 2 * pad - kernel
     if span < 0 or span % stride != 0:
         raise ValidationError(
             f"conv geometry does not produce an integer output extent: "
             f"input {extent}, kernel {kernel}, stride {stride}, pad {pad}"
         )
-    out = span // stride + 1
-    if out < 1:
-        raise ValidationError("conv output extent must be positive")
-    return out
+    return span // stride + 1
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:

@@ -1,4 +1,4 @@
-"""Network descriptions, shape inference, and partitioning into columns.
+"""Network descriptions and their partitioning into columns.
 
 A network is a straight line of layers over batch x channels x height x width
 activations. Columnization splits it across m columns: every Conv, and every
@@ -18,6 +18,10 @@ Cross placement rules:
 With the shipped configurations every split layer consumes either the
 network input or a full cross concatenation, which makes the columnized
 network an exact re-parameterization of the dense base network.
+
+`columnize` is the one walk that derives layer geometry (per-sample input,
+output and weight shapes) and the one that validates a network: building a
+NetworkSpec runs it with m = 1, which is the dense network.
 """
 
 from __future__ import annotations
@@ -90,73 +94,16 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
-        infer_shapes(self)
+        columnize(self, 1)
 
     def output_shapes(self) -> list[tuple[int, ...]]:
-        return infer_shapes(self)
+        return [cl.out_shape for cl in columnize(self, 1).col_layers]
 
     @property
     def classes(self) -> int:
         last = self.layers[-1]
         assert isinstance(last, SoftmaxXent)
         return last.classes
-
-
-def infer_shapes(net: NetworkSpec) -> list[tuple[int, ...]]:
-    """Per-layer output shapes; raises ValidationError when layers do not compose."""
-    if len(net.input_shape) != 3 or any(e < 1 for e in net.input_shape):
-        raise ValidationError(f"input shape must be three positive extents, got {net.input_shape}")
-    if not net.layers:
-        raise ValidationError("network has no layers")
-    if not isinstance(net.layers[-1], SoftmaxXent):
-        raise ValidationError("the last layer must be a softmax")
-
-    shape: tuple[int, ...] = net.input_shape
-    shapes: list[tuple[int, ...]] = []
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, SoftmaxXent) and i != len(net.layers) - 1:
-            raise ValidationError(f"layer {i}: softmax must be the last layer")
-        try:
-            shape = _apply_shape(layer, shape)
-        except ValidationError as err:
-            raise ValidationError(f"layer {i} ({_layer_name(layer)}): {err}") from None
-        shapes.append(shape)
-    return shapes
-
-
-def _apply_shape(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(layer, Conv):
-        if len(shape) != 3:
-            raise ValidationError(f"conv needs a CxHxW input, got shape {shape}")
-        if layer.filters < 1 or layer.kernel < 1:
-            raise ValidationError("conv extents must be positive")
-        c, h, w = shape
-        ho = conv_output_size(h, layer.kernel, layer.stride, layer.pad)
-        wo = conv_output_size(w, layer.kernel, layer.stride, layer.pad)
-        return (layer.filters, ho, wo)
-    if isinstance(layer, MaxPool):
-        if len(shape) != 3:
-            raise ValidationError(f"maxpool needs a CxHxW input, got shape {shape}")
-        c, h, w = shape
-        ho = conv_output_size(h, layer.kernel, layer.stride, 0)
-        wo = conv_output_size(w, layer.kernel, layer.stride, 0)
-        return (c, ho, wo)
-    if isinstance(layer, ReLU):
-        return shape
-    if isinstance(layer, FC):
-        if layer.units < 1:
-            raise ValidationError("fc units must be positive")
-        return (layer.units,)
-    if isinstance(layer, SoftmaxXent):
-        flat = math.prod(shape)
-        if layer.classes < 2:
-            raise ValidationError("softmax needs at least 2 classes")
-        if flat != layer.classes:
-            raise ValidationError(
-                f"softmax over {layer.classes} classes fed by {flat} features"
-            )
-        return (layer.classes,)
-    raise ValidationError(f"unknown layer type {layer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +240,62 @@ def _head_start(net: NetworkSpec) -> int:
     return len(net.layers) - 1
 
 
+def _split(count: int, parts: int, what: str) -> int:
+    """One column's share of a layer's `count` filters or units."""
+    if count < 1:
+        raise ValidationError(f"{what} must be positive")
+    if count % parts != 0:
+        raise PartitionError(f"{count} {what} not divisible by {parts} columns")
+    return count // parts
+
+
+def _geometry(
+    layer: LayerSpec, shape: tuple[int, ...], parts: int
+) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """(out_shape, weight_shape) of `layer` on a per-sample `shape` input when
+    its filters or units are divided among `parts` columns."""
+    if isinstance(layer, (Conv, MaxPool)):
+        if len(shape) != 3:
+            raise ValidationError(f"needs a CxHxW input, got shape {shape}")
+        c, h, w = shape
+        pad = layer.pad if isinstance(layer, Conv) else 0
+        ho = conv_output_size(h, layer.kernel, layer.stride, pad)
+        wo = conv_output_size(w, layer.kernel, layer.stride, pad)
+        if isinstance(layer, MaxPool):
+            return (c, ho, wo), None
+        out_c = _split(layer.filters, parts, "filters")
+        return (out_c, ho, wo), (out_c, c, layer.kernel, layer.kernel)
+    if isinstance(layer, FC):
+        out_u = _split(layer.units, parts, "units")
+        return (out_u,), (math.prod(shape), out_u)
+    if isinstance(layer, ReLU):
+        return shape, None
+    if isinstance(layer, SoftmaxXent):
+        if layer.classes < 2:
+            raise ValidationError("softmax needs at least 2 classes")
+        if math.prod(shape) != layer.classes:
+            raise ValidationError(
+                f"softmax over {layer.classes} classes fed by {math.prod(shape)} features"
+            )
+        return (layer.classes,), None
+    raise ValidationError(f"unknown layer type {layer!r}")
+
+
 def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
     """Split `net` into m columns with cross connections at `cross_layers`.
 
+    The one walk that derives layer geometry (m = 1 is the dense network);
+    raises ValidationError naming the layer when layers do not compose.
     `cross_layers` may only name Conv or FC layers below the head; FC layers
     and the head are cross points whether listed or not. Raises
     PartitionError when a split layer's filters/units are not divisible by m.
     """
+    if len(net.input_shape) != 3 or any(e < 1 for e in net.input_shape):
+        raise ValidationError(f"input shape must be three positive extents, got {net.input_shape}")
+    if not net.layers:
+        raise ValidationError("network has no layers")
+    if not isinstance(net.layers[-1], SoftmaxXent):
+        raise ValidationError("the last layer must be a softmax")
     if m < 1:
         raise PartitionError(f"column count must be >= 1, got {m}")
     requested = frozenset(int(i) for i in cross_layers)
@@ -316,12 +312,13 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
             raise PartitionError("layer 0 consumes the replicated network input; not a cross point")
 
     cols: list[ColumnLayer] = []
-    effective: set[int] = set()
     full = True  # current activation is replicated/full in every column
     shape: tuple[int, ...] = net.input_shape
     for i, layer in enumerate(net.layers):
+        if isinstance(layer, SoftmaxXent) and i != n_layers - 1:
+            raise ValidationError(f"layer {i}: softmax must be the last layer")
         shared = i >= head
-        cross = not full and (
+        cross = m > 1 and not full and (
             shared or isinstance(layer, FC) or (isinstance(layer, Conv) and i in requested)
         )
         if i in requested and not cross and m > 1:
@@ -329,69 +326,25 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
         if cross:
             # concat of all columns' slices along the channel/unit axis
             shape = (shape[0] * m,) + shape[1:]
-            full = True
-            effective.add(i)
-        in_shape = shape
-
-        if isinstance(layer, Conv):
-            if not shared and layer.filters % m != 0:
-                raise PartitionError(
-                    f"layer {i} (conv): {layer.filters} filters not divisible by {m} columns"
-                )
-            out_c = layer.filters if shared else layer.filters // m
-            c, h, w = in_shape
-            ho = conv_output_size(h, layer.kernel, layer.stride, layer.pad)
-            wo = conv_output_size(w, layer.kernel, layer.stride, layer.pad)
-            out_shape = (out_c, ho, wo)
-            cols.append(
-                ColumnLayer(
-                    i, layer, cross, shared, in_shape, out_shape,
-                    weight_shape=(out_c, c, layer.kernel, layer.kernel),
-                    bias_shape=(out_c,),
-                )
-            )
+        try:
+            out_shape, weight_shape = _geometry(layer, shape, 1 if shared else m)
+        except ValidationError as err:
+            name = _layer_name(layer)
+            if isinstance(err, PartitionError):
+                name = type(layer).__name__.lower()
+            raise type(err)(f"layer {i} ({name}): {err}") from None
+        cols.append(
+            ColumnLayer(i, layer, cross, shared, shape, out_shape, weight_shape,
+                        out_shape[:1] if weight_shape else None)
+        )
+        if isinstance(layer, (Conv, FC)):
             full = shared
-        elif isinstance(layer, FC):
-            if not shared and layer.units % m != 0:
-                raise PartitionError(
-                    f"layer {i} (fc): {layer.units} units not divisible by {m} columns"
-                )
-            out_u = layer.units if shared else layer.units // m
-            d = math.prod(in_shape)
-            out_shape = (out_u,)
-            cols.append(
-                ColumnLayer(
-                    i, layer, cross, shared, in_shape, out_shape,
-                    weight_shape=(d, out_u), bias_shape=(out_u,),
-                )
-            )
-            full = shared
-        elif isinstance(layer, (ReLU, MaxPool)):
-            if isinstance(layer, MaxPool):
-                c, h, w = in_shape
-                ho = conv_output_size(h, layer.kernel, layer.stride, 0)
-                wo = conv_output_size(w, layer.kernel, layer.stride, 0)
-                out_shape = (c, ho, wo)
-            else:
-                out_shape = in_shape
-            cols.append(ColumnLayer(i, layer, cross, shared, in_shape, out_shape))
-        else:  # SoftmaxXent: consumes the full logits, produces loss + workspace
-            out_shape = (layer.classes,)
-            cols.append(ColumnLayer(i, layer, cross, shared, in_shape, out_shape))
-            full = True
-        shape = cols[-1].out_shape
+        shape = out_shape
 
-    if m == 1:
-        effective = set()
-        cols = [
-            ColumnLayer(cl.index, cl.layer, False, cl.shared, cl.in_shape, cl.out_shape,
-                        cl.weight_shape, cl.bias_shape)
-            for cl in cols
-        ]
     return ColumnizedSpec(
         base=net,
         columns=m,
-        cross_layers=frozenset(effective),
+        cross_layers=frozenset(cl.index for cl in cols if cl.cross),
         head_index=head,
         col_layers=tuple(cols),
     )
@@ -434,14 +387,13 @@ class ShapeReport:
 
 
 def _layer_macs(cl: ColumnLayer, batch: int) -> int:
-    """Multiply-accumulate count of one forward pass; zero for non-MAC layers."""
-    if isinstance(cl.layer, Conv):
-        out_c, ho, wo = cl.out_shape
-        in_c = cl.in_shape[0]
-        return batch * out_c * in_c * cl.layer.kernel * cl.layer.kernel * ho * wo
-    if isinstance(cl.layer, FC):
-        return batch * math.prod(cl.in_shape) * cl.out_shape[0]
-    return 0
+    """Multiply-accumulate count of one forward pass; zero for non-MAC layers.
+
+    Every weight meets one input per output position (H'*W' for a conv, one
+    for an FC layer)."""
+    if cl.weight_shape is None:
+        return 0
+    return batch * math.prod(cl.weight_shape) * math.prod(cl.out_shape[1:])
 
 
 def shape_report(net_or_cs: NetworkSpec | ColumnizedSpec, batch: int) -> ShapeReport:

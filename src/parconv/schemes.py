@@ -629,32 +629,22 @@ def comm_phases(plan: ParallelPlan, cs: ColumnizedSpec, batch: int) -> list[Comm
     if batch % d != 0:
         raise ValidationError(f"batch size {batch} not divisible by {d} data shards")
     shard = batch // d
-    phases: list[CommPhase] = []
-    cross = [cl for cl in cs.col_layers if cl.cross]
-    for cl in cross:
-        slice_elems = math.prod(cl.in_shape) // m
-        pair_bytes = shard * slice_elems * WIRE_ELEMENT_SIZE
-        phases.append(
-            CommPhase(
-                label=f"cross{cl.index}-fwd",
-                total_bytes=d * m * (m - 1) * pair_bytes,
-                total_messages=d * m * (m - 1),
-                max_node_bytes=(m - 1) * pair_bytes,
-                max_node_messages=m - 1,
-            )
+    cross = [  # (layer index, bytes one column sends one peer)
+        (cl.index, shard * (math.prod(cl.in_shape) // m) * WIRE_ELEMENT_SIZE)
+        for cl in cs.col_layers
+        if cl.cross
+    ]
+    phases = [
+        CommPhase(
+            label=f"cross{index}-{way}",
+            total_bytes=d * m * (m - 1) * pair_bytes,
+            total_messages=d * m * (m - 1),
+            max_node_bytes=(m - 1) * pair_bytes,
+            max_node_messages=m - 1,
         )
-    for cl in reversed(cross):
-        slice_elems = math.prod(cl.in_shape) // m
-        pair_bytes = shard * slice_elems * WIRE_ELEMENT_SIZE
-        phases.append(
-            CommPhase(
-                label=f"cross{cl.index}-bwd",
-                total_bytes=d * m * (m - 1) * pair_bytes,
-                total_messages=d * m * (m - 1),
-                max_node_bytes=(m - 1) * pair_bytes,
-                max_node_messages=m - 1,
-            )
-        )
+        for way, layers in (("fwd", cross), ("bwd", cross[::-1]))
+        for index, pair_bytes in layers
+    ]
     if d > 1:
         col_bytes = cs.column_param_count * WIRE_ELEMENT_SIZE
         for label in ("grad-reduce", "param-broadcast"):

@@ -152,6 +152,18 @@ def test_estimate_table(cost_file, capsys):
         assert label in out
 
 
+def test_estimate_bad_stride_exit_1(tmp_path, cost_file, capsys):
+    net = tmp_path / "bad.net"
+    net.write_text("input 1 8 8\nconv 4 3 0 1\nrelu\nfc 10\nsoftmax 10\n")
+    code = main([
+        "estimate", "--net", str(net), "--plan", str(CONFIGS / "plan_d1m1.plan"),
+        "--batch", "8", "--cost", str(cost_file), "--epochs", "1", "--dataset-size", "64",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "layer 0" in err and "stride" in err and "Traceback" not in err
+
+
 def test_estimate_missing_cost_file_exit_2(capsys):
     code = main([
         "estimate", "--net", str(CONFIGS / "tinynet.net"),

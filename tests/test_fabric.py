@@ -263,6 +263,19 @@ def test_deadlock_when_last_runnable_worker_finishes(sched):
     assert info.value.waiting == {0: {"src": 1, "tag": "missing"}}
 
 
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@pytest.mark.parametrize("src", [5, -1, 0])
+def test_recv_from_invalid_source_names_worker(sched, src):
+    fab = spawn(2, scheduling=sched)
+
+    def program(ctx):
+        if ctx.wid == 0:
+            ctx.recv(src, "x")
+
+    with pytest.raises(ValidationError, match=f"worker 0: invalid source {src}$"):
+        _run_bounded(fab, program)
+
+
 def test_worker_exception_propagates():
     fab = spawn(3)
 

@@ -10,6 +10,7 @@ from parconv.kernels import (
     SgdState,
     conv2d_backward,
     conv2d_forward,
+    conv_output_size,
     fc_backward,
     fc_forward,
     maxpool_backward,
@@ -63,6 +64,23 @@ def test_conv_shape_errors():
     with pytest.raises(ValidationError):
         # (5 - 3) not divisible by stride 2 after padding 0 -> fractional extent
         conv2d_forward(np.ones((1, 2, 6, 6)), ConvParams(np.ones((1, 2, 3, 3)), np.zeros(1), stride=2))
+
+
+@pytest.mark.parametrize(
+    "kernel, stride, pad", [(0, 1, 0), (3, 0, 1), (2, 0, 0), (3, 1, -1), (-1, 1, 0)]
+)
+def test_conv_output_size_rejects_bad_window(kernel, stride, pad):
+    with pytest.raises(ValidationError, match="kernel >= 1, stride >= 1 and pad >= 0"):
+        conv_output_size(8, kernel, stride, pad)
+
+
+@pytest.mark.parametrize("k, stride", [(2, 0), (0, 1), (-2, 2)])
+def test_maxpool_rejects_bad_window(k, stride):
+    x = np.ones((1, 1, 8, 8))
+    with pytest.raises(ValidationError):
+        maxpool_forward(x, k, stride)
+    with pytest.raises(ValidationError):
+        maxpool_backward(x, k, stride, np.ones((1, 1, 4, 4)), np.zeros((1, 1, 4, 4), dtype=int))
 
 
 def test_conv_backward_zero_upstream():

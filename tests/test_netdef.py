@@ -78,6 +78,14 @@ def test_shape_mismatch_names_layer_index():
         parse_network("input 1 4 4\nfc 32\nsoftmax 10\n")
 
 
+@pytest.mark.parametrize(
+    "line", ["conv 4 3 0 1", "conv 4 3 1 -1", "conv 4 0 1 0", "maxpool 2 0", "maxpool 0 1"]
+)
+def test_bad_window_names_layer(line):
+    with pytest.raises(ValidationError, match=r"layer 0 \(.*kernel >= 1, stride >= 1 and pad >= 0"):
+        parse_network(f"input 1 8 8\n{line}\nfc 10\nsoftmax 10\n")
+
+
 def test_conv_after_fc_rejected():
     with pytest.raises(ValidationError, match="CxHxW"):
         parse_network("input 1 4 4\nfc 8\nconv 2 1 1 0\nsoftmax 2\n")

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parconv.errors import ValidationError
 from parconv.fabric import spawn
 from parconv.kernels import SgdState
-from parconv.netdef import columnize, load_network
+from parconv.netdef import columnize, load_network, parse_network
 from parconv.schemes import (
+    FabricExchange,
     ParallelPlan,
+    column_forward,
     column_fwd_bwd,
     comm_phases,
     comm_volume,
@@ -441,6 +445,16 @@ def phase_links(plan, cs, batch):
     return links
 
 
+def link_delta(before, after):
+    """{(src, dst): (bytes, messages)} the ledger gained between two snapshots."""
+    delta = {}
+    for link, (nbytes, count) in after.items():
+        old_bytes, old_count = before.get(link, (0, 0))
+        if (nbytes, count) != (old_bytes, old_count):
+            delta[link] = (nbytes - old_bytes, count - old_count)
+    return delta
+
+
 @pytest.mark.parametrize("net", [TINY, MINI, MID])
 @pytest.mark.parametrize(
     "plan",
@@ -473,9 +487,91 @@ def test_ledger_equals_comm_volume(net, plan):
         assert step.ledger_bytes == volume.bytes
         assert step.ledger_messages == volume.messages
         assert fab.ledger.total_bytes - before_b == volume.bytes
-        delta = {}
-        for link, (nbytes, count) in fab.ledger.snapshot().items():
-            old_bytes, old_count = before_links.get(link, (0, 0))
-            if (nbytes, count) != (old_bytes, old_count):
-                delta[link] = (nbytes - old_bytes, count - old_count)
-        assert delta == expected_links
+        assert link_delta(before_links, fab.ledger.snapshot()) == expected_links
+
+
+# ---------------------------------------------------------------------------
+# random networks and plans
+# ---------------------------------------------------------------------------
+
+
+class ShapeLog:
+    """Stands in for the engine's meter; records the shape of every array noted."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def note(self, arr):
+        self.shapes.append(arr.shape)
+
+
+@st.composite
+def drawn_nets(draw):
+    """A conv/relu/pool/fc stack on an input of at most 2x8x8, whose filters and
+    hidden units are multiples of 4, with random conv cross layers, a per-shard
+    batch and a scheduling mode."""
+    h, w = draw(st.sampled_from([4, 8])), draw(st.sampled_from([4, 8]))
+    lines = [f"input {draw(st.integers(1, 2))} {h} {w}"]
+    convs = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from([1, 3, 5]))
+        convs.append(len(lines) - 1)
+        lines.append(f"conv {4 * draw(st.integers(1, 2))} {k} 1 {k // 2}")
+        if draw(st.booleans()):
+            lines.append("relu")
+        if h % 2 == w % 2 == 0 and draw(st.booleans()):
+            lines.append("maxpool 2 2")
+            h, w = h // 2, w // 2
+    if draw(st.booleans()):
+        lines += [f"fc {4 * draw(st.integers(1, 3))}", "relu"]
+    classes = draw(st.integers(2, 5))
+    lines += [f"fc {classes}", f"softmax {classes}"]
+    net = parse_network("\n".join(lines), name="drawn")
+    cross = tuple(draw(st.sets(st.sampled_from(convs[1:])))) if len(convs) > 1 else ()
+    return net, cross, draw(st.integers(1, 2)), draw(st.sampled_from(["lockstep", "threads"]))
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (1, 4)])
+@given(case=drawn_nets())
+@settings(max_examples=20, deadline=2000, derandomize=True)
+def test_random_nets_and_plans(d, m, case):
+    net, cross, shard, sched = case
+    plan, batch = ParallelPlan(d, m, cross), d * shard
+    cs = plan_columnized(net, plan)
+    batches = [make_batch(net, batch, seed=s) for s in range(2)]
+
+    # every column layer's forward output is (B,) + out_shape; a cross layer
+    # first notes its concatenated input, (B,) + in_shape
+    def forward(ctx):
+        replica, column = divmod(ctx.wid, m)
+        log = ShapeLog()
+        exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
+        x = batches[0][0][replica * shard : (replica + 1) * shard]
+        column_forward(cs, split_params(init_dense_params(net, 0), cs, column), x, exchange, log)
+        return log.shapes
+
+    want = [(shard,) + net.input_shape]
+    for cl in cs.col_layers:
+        want += [(shard,) + cl.in_shape] * cl.cross + [(shard,) + cl.out_shape]
+    assert spawn(plan.workers, scheduling=sched).run(forward) == [want] * plan.workers
+
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
+    links = phase_links(plan, cs, batch)
+    params, sgd = init_dense_params(net, 0), SgdState()
+    losses = []
+    for x, y in batches:
+        before = fab.ledger.snapshot()
+        got = hybrid_step(fab, plan, cs, x, y).loss
+        assert link_delta(before, fab.ledger.snapshot()) == links
+        ref = reference_step(net, params, (x, y), sgd)
+        params, sgd = ref.params, ref.sgd
+        losses.append((got, ref.loss))
+    try:
+        merged = gather_dense_params(fab, plan, cs)
+    except ValidationError as err:  # a grouped layer has no dense equivalent
+        assert "grouped" in str(err)
+        return
+    for got, want_loss in losses:
+        assert abs(got - want_loss) <= 1e-9 * abs(want_loss)
+    assert max_rel(merged, params) < 1e-9
