@@ -51,6 +51,11 @@ class CostParams:
     memory: int = DEFAULT_MEMORY
 
     def __post_init__(self):
+        for key in _COST_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(
+                    f"cost parameter {key} must be finite, got {getattr(self, key)}"
+                )
         if self.throughput <= 0 or self.bandwidth <= 0:
             raise ValidationError("throughput and bandwidth must be positive")
         if self.latency < 0 or self.b_half < 0:
@@ -76,11 +81,16 @@ def load_cost_params(path) -> CostParams:
         parts = line.split()
         if len(parts) != 2 or parts[0] not in _COST_KEYS:
             raise ValidationError(f"cost params line {lineno}: expected '<key> <value>', got {raw!r}")
-        values[parts[0]] = float(parts[1])
+        key, text = parts
+        try:
+            values[key] = int(float(text)) if key == "memory" else float(text)
+        except (ValueError, OverflowError):
+            raise ValidationError(
+                f"cost params line {lineno}: {key} needs a finite number, got {text!r}"
+            ) from None
     missing = [k for k in _COST_KEYS if k not in values]
     if missing:
         raise ValidationError(f"cost params file missing keys: {', '.join(missing)}")
-    values["memory"] = int(values["memory"])
     return CostParams(**values)
 
 
@@ -133,14 +143,8 @@ class _PlanCost:
 
 
 def _plan_cost(plan: ParallelPlan, net: NetworkSpec, batch: int) -> _PlanCost:
-    if batch < 1:
-        raise ValidationError("batch size must be >= 1")
-    if batch % plan.data_shards != 0:
-        raise ValidationError(
-            f"batch size {batch} not divisible by {plan.data_shards} data shards"
-        )
+    shard = plan.shard(batch)
     cs = plan_columnized(net, plan)
-    shard = batch // plan.data_shards
     phases = comm_phases(plan, cs, batch)
     return _PlanCost(
         per_device_batch=shard,
@@ -235,11 +239,10 @@ def calibrate(
     log_targets = [math.log(t) for t in targets]
 
     def objective(f: float, w: float, l: float, bh: float) -> float:
+        cp = CostParams(throughput=f, bandwidth=w, latency=l, b_half=bh, memory=memory)
         err = 0.0
         for pc, log_obs in zip(plan_costs, log_targets):
-            compute = pc.worker_flops / (f * (pc.per_device_batch / (pc.per_device_batch + bh)))
-            comm = pc.node_bytes / w + pc.node_messages * l
-            pred_days = steps_total * (compute + comm) / SECONDS_PER_DAY
+            pred_days = steps_total * _step_seconds(pc, cp).step_seconds / SECONDS_PER_DAY
             diff = math.log(pred_days) - log_obs
             err += diff * diff
         return err / len(plan_costs)

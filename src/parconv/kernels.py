@@ -5,12 +5,14 @@ reductions go through np.einsum with optimize=False, which never dispatches
 to a threaded BLAS: results are bit-identical no matter which thread runs
 them, which the fabric's determinism contract relies on.
 
-Everything here is a pure function of its arguments; nothing retains state.
+Everything here is a pure function of its arguments, except sgd_step, which
+updates the parameter and velocity it is given in place; nothing retains state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,9 +291,9 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgdState:
-    """Hyper-parameters plus one velocity tensor per parameter tensor.
+    """SGD hyper-parameters; the velocity lives with whoever owns the parameters.
 
     Defaults follow the classic ImageNet ConvNet recipe: lr 0.01,
     momentum 0.9, weight decay 5e-4.
@@ -300,37 +302,25 @@ class SgdState:
     learning_rate: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    velocity: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
+        limits = (("learning_rate", math.inf), ("momentum", 1.0), ("weight_decay", math.inf))
+        for name, top in limits:
+            value = getattr(self, name)
+            if not 0.0 <= value < top:
+                raise ValidationError(f"{name} must lie in [0, {top}), got {value}")
 
 
-def sgd_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: SgdState
-) -> tuple[list[np.ndarray], SgdState]:
-    """v <- momentum*v - lr*(g + wd*p); p <- p + v. Returns fresh arrays."""
-    if len(params) != len(grads) or len(params) != len(state.velocity):
-        raise ShapeError("sgd_step: params, grads and velocity counts differ")
-    new_params: list[np.ndarray] = []
-    new_velocity: list[np.ndarray] = []
-    for p, g, v in zip(params, grads, state.velocity):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ShapeError(
-                f"sgd_step shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}"
-            )
-        v_new = state.momentum * v - state.learning_rate * (g + state.weight_decay * p)
-        new_params.append(p + v_new)
-        new_velocity.append(v_new)
-    new_state = SgdState(
-        learning_rate=state.learning_rate,
-        momentum=state.momentum,
-        weight_decay=state.weight_decay,
-        velocity=new_velocity,
-    )
-    return new_params, new_state
+def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray, sgd: SgdState) -> None:
+    """v <- momentum*v - lr*(g + wd*p); p <- p + v, updating param and velocity in place."""
+    if param.shape != grad.shape or param.shape != velocity.shape:
+        raise ShapeError(
+            f"sgd_step shape mismatch: param {param.shape}, grad {grad.shape}, "
+            f"velocity {velocity.shape}"
+        )
+    step = sgd.weight_decay * param
+    step += grad
+    step *= sgd.learning_rate
+    velocity *= sgd.momentum
+    velocity -= step
+    param += velocity

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .fabric import Fabric, Worker
 from .kernels import (
     ConvParams,
@@ -84,6 +84,16 @@ class ParallelPlan:
 
     def worker_of(self, replica: int, column: int) -> int:
         return replica * self.model_columns + column
+
+    def shard(self, batch: int) -> int:
+        """Samples per replica: replica i takes the batch's i-th contiguous `shard`."""
+        if batch < 1:
+            raise ValidationError(f"batch size {batch}: a step needs a non-empty batch")
+        if batch % self.data_shards != 0:
+            raise ValidationError(
+                f"batch size {batch} not divisible by {self.data_shards} data shards"
+            )
+        return batch // self.data_shards
 
     def describe(self) -> str:
         return f"d{self.data_shards}xm{self.model_columns}"
@@ -301,49 +311,28 @@ class FabricExchange:
         return acc
 
 
-class _Meter:
-    """Step-scoped allocation tracker mirroring worker_footprint_bytes exactly."""
-
-    def __init__(self, ctx: Worker | None):
-        self.ctx = ctx
-        self.bytes = 0
-
-    def note(self, arr: np.ndarray) -> None:
-        if self.ctx is not None:
-            self.bytes += self.ctx.alloc(arr.size)
-
-    def release(self) -> None:
-        if self.ctx is not None and self.bytes:
-            self.ctx.free_bytes(self.bytes)
-            self.bytes = 0
-
-    def check(self) -> None:
-        if self.ctx is not None:
-            self.ctx.assert_capacity()
-
-
 def column_forward(
     cs: ColumnizedSpec,
     params: ParamSet,
     x: np.ndarray,
     exchange: FabricExchange | None,
-    meter: _Meter | None = None,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]]]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]], list[int]]:
     """One column's forward pass up to the loss layer.
 
-    Returns (logits, caches): caches holds, per column layer, its input and
-    the pooling argmax (None for other layers), which column_fwd_bwd's
-    backward pass consumes. `exchange` is None when the network has one
-    column, which never crosses.
+    Returns (logits, caches, kept): caches holds, per column layer, its input
+    and the pooling argmax (None for other layers), which column_fwd_bwd's
+    backward pass consumes; kept is the element count of each activation the
+    step keeps (the input, each cross layer's concatenation and each layer's
+    output, in that order), as worker_footprint_bytes counts them. `exchange`
+    is None when the network has one column, which never crosses.
     """
-    meter = meter or _Meter(None)
     a = x
-    meter.note(a)
+    kept = [a.size]
     caches: list[tuple[np.ndarray, np.ndarray | None]] = []
     for cl in cs.col_layers:
         if cl.cross:
             a = exchange.cross_forward(cl.index, a)
-            meter.note(a)
+            kept.append(a.size)
         layer = cl.layer
         argmax = None
         if isinstance(layer, Conv):
@@ -357,10 +346,10 @@ def column_forward(
             out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
         else:  # SoftmaxXent, always last: its flattened input is the logits
             out = a.reshape(a.shape[0], -1)
-        meter.note(out)  # at the loss layer this accounts its logits-sized workspace
+        kept.append(out.size)  # at the loss layer: its logits-sized workspace
         caches.append((a, argmax))
         a = out
-    return a, caches
+    return a, caches, kept
 
 
 def column_fwd_bwd(
@@ -376,13 +365,16 @@ def column_fwd_bwd(
 
     The gradient of a replicated head layer is the full gradient (identical in
     every column); gradients of split layers cover only this column's slice.
-    What the step accounted on `meter_ctx` is given back however it exits.
+    The kept activations are accounted on `meter_ctx` in one allocation and
+    given back however the step exits.
     """
     m = cs.columns
-    meter = _Meter(meter_ctx)
+    accounted = 0
     try:
-        logits, caches = column_forward(cs, params, x, exchange, meter)
-        meter.check()
+        logits, caches, kept = column_forward(cs, params, x, exchange)
+        if meter_ctx is not None:
+            accounted = meter_ctx.alloc(sum(kept))
+            meter_ctx.assert_capacity()
         loss, g = softmax_xent_scaled(logits, labels, loss_scale)
         grads: ParamSet = {}
         for pos in range(len(cs.col_layers) - 1, -1, -1):
@@ -409,7 +401,8 @@ def column_fwd_bwd(
             else:
                 g = g_in
     finally:
-        meter.release()
+        if accounted:
+            meter_ctx.free_bytes(accounted)
     return loss, grads
 
 
@@ -426,27 +419,46 @@ class StepResult:
     ledger_bytes: int = 0
     ledger_messages: int = 0
     params: ParamSet | None = None  # updated dense params (reference path only)
-    sgd: SgdState | None = None
+    velocity: list[np.ndarray] | None = None  # updated velocity (reference path only)
 
 
 def reference_step(
-    net: NetworkSpec, params: ParamSet, batch: tuple[np.ndarray, np.ndarray], sgd: SgdState
+    net: NetworkSpec,
+    params: ParamSet,
+    batch: tuple[np.ndarray, np.ndarray],
+    sgd: SgdState,
+    velocity: list[np.ndarray] | None = None,
 ) -> StepResult:
-    """Full-batch forward/backward/update on one worker; the oracle for all schemes."""
+    """Full-batch forward/backward/update on one worker; the oracle for all schemes.
+
+    `velocity` holds one tensor per parameter tensor in params_as_lists order
+    (None: all zeros, the first step). The updated parameters and velocity
+    are returned as fresh arrays; the arguments are left unchanged.
+    """
     cs = columnize(net, 1)
     x, labels = batch
     if x.shape[0] < 1:
         raise ValidationError("reference_step needs a non-empty batch")
     loss, grads = column_fwd_bwd(cs, params, x, np.asarray(labels), 1.0 / x.shape[0], None)
-    plist = params_as_lists(params, cs)
-    glist = params_as_lists(grads, cs)
-    if not sgd.velocity:
-        sgd = SgdState(sgd.learning_rate, sgd.momentum, sgd.weight_decay,
-                       [np.zeros_like(p) for p in plist])
-    new_plist, new_sgd = sgd_step(plist, glist, sgd)
-    return StepResult(
-        loss=loss, params=lists_as_params(new_plist, cs), sgd=new_sgd
-    )
+    plist = [p.copy() for p in params_as_lists(params, cs)]
+    vlist = [np.zeros_like(p) for p in plist] if velocity is None else [v.copy() for v in velocity]
+    if len(vlist) != len(plist):
+        raise ShapeError(
+            f"reference_step: {len(vlist)} velocity tensors for {len(plist)} parameters"
+        )
+    for p, g, v in zip(plist, params_as_lists(grads, cs), vlist):
+        sgd_step(p, g, v, sgd)
+    return StepResult(loss=loss, params=lists_as_params(plist, cs), velocity=vlist)
+
+
+def _check_layout(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> None:
+    """Raise unless the fabric has the plan's workers and `cs` the plan's columns."""
+    if fabric.n != plan.workers:
+        raise ValidationError(
+            f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
+        )
+    if cs.columns != plan.model_columns:
+        raise ValidationError("columnized spec does not match the plan's column count")
 
 
 def setup_workers(
@@ -460,12 +472,10 @@ def setup_workers(
 
     Each worker keeps its parameters as one flat vector in pack_tree order,
     plus per-layer views of it for the engine; the column root (replica 0)
-    also keeps a velocity vector of the same layout.
+    also keeps a velocity vector of the same layout, which it updates with
+    `sgd`.
     """
-    if fabric.n != plan.workers:
-        raise ValidationError(
-            f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
-        )
+    _check_layout(fabric, plan, cs)
     m = plan.model_columns
     # built on the host: large buffers allocated in the short-lived worker
     # threads page-fault afresh on every set-up
@@ -484,7 +494,7 @@ def setup_workers(
         state["column"] = column
         state["params"] = flat
         state["layers"] = unpack_tree(flat, cs)
-        state["hyper"] = (sgd.learning_rate, sgd.momentum, sgd.weight_decay)
+        state["sgd"] = sgd
         state["velocity"] = velocity
         state["accounted"] = ctx.alloc(flat.size * (1 if velocity is None else 2))
         ctx.assert_capacity()
@@ -508,18 +518,9 @@ def hybrid_step(
 ) -> StepResult:
     """One synchronous update under an arbitrary d x m plan (the general engine)."""
     d, m = plan.data_shards, plan.model_columns
-    if fabric.n != plan.workers:
-        raise ValidationError(
-            f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
-        )
-    if cs.columns != m:
-        raise ValidationError("columnized spec does not match the plan's column count")
+    _check_layout(fabric, plan, cs)
     b = batch_x.shape[0]
-    if b < 1:
-        raise ValidationError("hybrid_step needs a non-empty batch")
-    if b % d != 0:
-        raise ValidationError(f"batch size {b} not divisible by {d} data shards")
-    shard = b // d
+    shard = plan.shard(b)
     labels = np.asarray(batch_y, dtype=np.int64)
     loss_scale = 1.0 / b
 
@@ -544,15 +545,10 @@ def hybrid_step(
         root = plan.worker_of(0, column)
         total = ctx.reduce_to_root(group, root, pack_tree(grads, cs))
         if ctx.wid == root:
-            lr, mom, wd = state["hyper"]
-            (new_params,), new_sgd = sgd_step(
-                [state["params"]], [total], SgdState(lr, mom, wd, [state["velocity"]])
-            )
-            state["velocity"] = new_sgd.velocity[0]
-            ctx.broadcast_from_root(group, root, new_params)
-        else:
-            new_params = ctx.broadcast_from_root(group, root, None)
-        state["params"][...] = new_params  # in place, so the per-layer views follow
+            sgd_step(state["params"], total, state["velocity"], state["sgd"])
+            ctx.broadcast_from_root(group, root, state["params"])
+        else:  # in place, so the per-layer views follow
+            state["params"][...] = ctx.broadcast_from_root(group, root, None)
         return loss
 
     results = fabric.run(program, args)
@@ -594,7 +590,7 @@ def evaluation_errors(
             return None
         column = state["column"]
         exchange = FabricExchange(ctx, 0, column, m) if m > 1 else None
-        logits, _ = column_forward(cs, state["layers"], x, exchange)
+        logits, _, _ = column_forward(cs, state["layers"], x, exchange)
         if column != 0:
             return None
         return int(np.count_nonzero(np.argmax(logits, axis=1) != labels))
@@ -626,9 +622,7 @@ class CommPhase:
 
 def comm_phases(plan: ParallelPlan, cs: ColumnizedSpec, batch: int) -> list[CommPhase]:
     d, m = plan.data_shards, plan.model_columns
-    if batch % d != 0:
-        raise ValidationError(f"batch size {batch} not divisible by {d} data shards")
-    shard = batch // d
+    shard = plan.shard(batch)
     cross = [  # (layer index, bytes one column sends one peer)
         (cl.index, shard * (math.prod(cl.in_shape) // m) * WIRE_ELEMENT_SIZE)
         for cl in cs.col_layers

@@ -39,6 +39,18 @@ from .schemes import (
 )
 
 
+def _check_split(net: NetworkSpec, data: Dataset, split: str) -> None:
+    """Raise unless the split's class count and sample shape fit the network."""
+    if data.classes != net.classes:
+        raise ValidationError(
+            f"{split} split has {data.classes} classes but the network head expects {net.classes}"
+        )
+    if data.sample_shape != net.input_shape:
+        raise ValidationError(
+            f"{split} split samples are {data.sample_shape}, network input is {net.input_shape}"
+        )
+
+
 @dataclass
 class TrainConfig:
     net: NetworkSpec
@@ -57,27 +69,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise ValidationError("batch size must be >= 1")
-        if self.batch % self.plan.data_shards != 0:
-            raise ValidationError(
-                f"batch {self.batch} not divisible by {self.plan.data_shards} data shards"
-            )
-        if self.train_data.classes != self.net.classes:
-            raise ValidationError(
-                f"dataset has {self.train_data.classes} classes but the network head "
-                f"expects {self.net.classes}"
-            )
-        if self.test_data is not None and self.test_data.classes != self.net.classes:
-            raise ValidationError("test split class count does not match the network")
+        self.plan.shard(self.batch)
+        _check_split(self.net, self.train_data, "training")
+        if self.test_data is not None:
+            _check_split(self.net, self.test_data, "test")
         if self.train_data.size < self.batch:
             raise ValidationError(
                 f"training split has {self.train_data.size} samples, need >= {self.batch}"
-            )
-        if self.train_data.sample_shape != self.net.input_shape:
-            raise ValidationError(
-                f"dataset samples are {self.train_data.sample_shape}, network input is "
-                f"{self.net.input_shape}"
             )
 
     @property
@@ -101,7 +99,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     """Run the synchronous training loop under cfg.plan; returns per-update metrics."""
     plan = cfg.plan
     cs = plan_columnized(cfg.net, plan)
-    shard = cfg.batch // plan.data_shards
+    shard = plan.shard(cfg.batch)
 
     # fail fast on memory before spawning anything (the runtime meter re-checks)
     need = worker_footprint_bytes(cs, shard, holds_velocity=True)
@@ -174,15 +172,14 @@ def evaluate(net: NetworkSpec, params: ParamSet, test: Dataset) -> float:
     """
     if test.size < 1:
         raise ValidationError("cannot evaluate on an empty test split")
-    if test.classes != net.classes:
-        raise ValidationError("test split class count does not match the network")
+    _check_split(net, test, "test")
     cs = columnize(net, 1)
     wrong = 0
     for lo in range(0, test.size, 256):
         hi = min(lo + 256, test.size)
         x = test.images[lo:hi]
         labels = test.labels[lo:hi]
-        logits, _ = column_forward(cs, params, x, None)
+        logits, _, _ = column_forward(cs, params, x, None)
         predictions = np.argmax(logits, axis=1)
         wrong += int(np.count_nonzero(predictions != labels))
     return wrong / test.size
@@ -259,24 +256,23 @@ def run_equivalence(
 ) -> list[Divergence]:
     """Train every plan on the identical batch sequence and compare per-update
     losses and final parameters against the single-worker reference."""
+    for plan in plans:
+        plan.shard(batch)  # before any training
     if data is None:
         data = equivalence_data(net, batch, seed)
     batches = _batch_schedule(seed, data.size, batch, steps)
 
-    ref_params = init_dense_params(net, seed)
-    ref_sgd = SgdState()
+    ref_params, ref_velocity = init_dense_params(net, seed), None
     ref_losses: list[float] = []
     for chosen in batches:
-        out = reference_step(net, ref_params, (data.images[chosen], data.labels[chosen]), ref_sgd)
-        ref_params, ref_sgd = out.params, out.sgd
+        out = reference_step(
+            net, ref_params, (data.images[chosen], data.labels[chosen]), SgdState(), ref_velocity
+        )
+        ref_params, ref_velocity = out.params, out.velocity
         ref_losses.append(out.loss)
 
     results = []
     for plan in plans:
-        if batch % plan.data_shards != 0:
-            raise ValidationError(
-                f"batch {batch} not divisible by plan {plan.describe()} data shards"
-            )
         cs = plan_columnized(net, plan)
         fabric = spawn(plan.workers, scheduling=scheduling)
         setup_workers(fabric, plan, cs, init_dense_params(net, seed), SgdState())

@@ -164,6 +164,31 @@ def test_estimate_bad_stride_exit_1(tmp_path, cost_file, capsys):
     assert "layer 0" in err and "stride" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ("throughput abc", "line 1: throughput"),
+        ("memory inf", "line 5: memory"),
+        ("memory nan", "line 5: memory"),
+        ("throughput nan", "throughput must be finite"),
+        ("latency inf", "latency must be finite"),
+    ],
+)
+def test_estimate_malformed_cost_number_exit_1(tmp_path, cost_file, capsys, bad, named):
+    key = bad.split()[0]
+    lines = [bad if line.split()[0] == key else line
+             for line in cost_file.read_text().splitlines()]
+    cost_file.write_text("\n".join(lines) + "\n")
+    code = main([
+        "estimate", "--net", str(CONFIGS / "tinynet.net"),
+        "--plan", str(CONFIGS / "plan_d1m1.plan"),
+        "--batch", "8", "--cost", str(cost_file), "--epochs", "1", "--dataset-size", "64",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_estimate_missing_cost_file_exit_2(capsys):
     code = main([
         "estimate", "--net", str(CONFIGS / "tinynet.net"),

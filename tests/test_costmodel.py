@@ -222,3 +222,7 @@ def test_cost_params_validation():
         CostParams(throughput=0, bandwidth=1, latency=0, b_half=1)
     with pytest.raises(ValidationError):
         CostParams(throughput=1, bandwidth=1, latency=-1, b_half=1)
+    with pytest.raises(ValidationError, match="b_half must be finite"):
+        CostParams(throughput=1, bandwidth=1, latency=0, b_half=math.nan)
+    with pytest.raises(ValidationError, match="memory must be finite"):
+        CostParams(throughput=1, bandwidth=1, latency=0, b_half=1, memory=math.inf)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,18 +307,17 @@ def test_softmax_extreme_logits_stay_finite():
 
 
 def test_sgd_zero_grad_keeps_params():
-    p = [np.array([1.0, 2.0])]
-    state = SgdState(learning_rate=0.1, momentum=0.0, weight_decay=0.0, velocity=[np.zeros(2)])
-    new_p, _ = sgd_step(p, [np.zeros(2)], state)
-    assert np.array_equal(new_p[0], p[0])
+    p = np.array([1.0, 2.0])
+    sgd = SgdState(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
+    sgd_step(p, np.zeros(2), np.zeros(2), sgd)
+    assert np.array_equal(p, [1.0, 2.0])
 
 
 def test_sgd_plain_gradient_descent():
-    p = [np.array([1.0, -1.0])]
-    g = [np.array([0.5, 0.25])]
-    state = SgdState(learning_rate=0.1, momentum=0.0, weight_decay=0.0, velocity=[np.zeros(2)])
-    new_p, _ = sgd_step(p, g, state)
-    assert np.allclose(new_p[0], p[0] - 0.1 * g[0], atol=1e-15)
+    p = np.array([1.0, -1.0])
+    g = np.array([0.5, 0.25])
+    sgd_step(p, g, np.zeros(2), SgdState(learning_rate=0.1, momentum=0.0, weight_decay=0.0))
+    assert np.allclose(p, np.array([1.0, -1.0]) - 0.1 * g, atol=1e-15)
 
 
 def test_sgd_two_step_momentum_recurrence():
@@ -324,32 +325,40 @@ def test_sgd_two_step_momentum_recurrence():
     # v1 = -0.01 g                      p1 = p0 - 0.01 g
     # v2 = 0.9 v1 - 0.01 g = -0.019 g   p2 = p0 - 0.029 g
     g_val = 3.0
-    p = [np.array([2.0])]
-    g = [np.array([g_val])]
-    state = SgdState(learning_rate=0.01, momentum=0.9, weight_decay=0.0, velocity=[np.zeros(1)])
-    p, state = sgd_step(p, g, state)
-    p, state = sgd_step(p, g, state)
-    assert abs(state.velocity[0][0] + 0.019 * g_val) < 1e-15
-    assert abs(p[0][0] - (2.0 - 0.029 * g_val)) < 1e-15
+    p = np.array([2.0])
+    g = np.array([g_val])
+    v = np.zeros(1)
+    sgd = SgdState(learning_rate=0.01, momentum=0.9, weight_decay=0.0)
+    sgd_step(p, g, v, sgd)
+    sgd_step(p, g, v, sgd)
+    assert abs(v[0] + 0.019 * g_val) < 1e-15
+    assert abs(p[0] - (2.0 - 0.029 * g_val)) < 1e-15
 
 
-def test_sgd_pure_no_aliasing_and_deterministic():
+def test_sgd_in_place_and_deterministic():
+    # updates exactly the arrays given, leaves the gradient alone, and matches
+    # the out-of-place recurrence bit for bit from identical inputs
     rs = R(14)
-    p = [rs.randn(3, 3)]
-    g = [rs.randn(3, 3)]
-    state = SgdState(velocity=[rs.randn(3, 3)])
-    p_copy, v_copy = p[0].copy(), state.velocity[0].copy()
-    out1, s1 = sgd_step(p, g, state)
-    out2, s2 = sgd_step(p, g, state)
-    assert np.array_equal(p[0], p_copy) and np.array_equal(state.velocity[0], v_copy)
-    assert out1[0] is not p[0]
-    assert np.array_equal(out1[0], out2[0]) and np.array_equal(s1.velocity[0], s2.velocity[0])
+    p, g, v = rs.randn(3, 3), rs.randn(3, 3), rs.randn(3, 3)
+    sgd = SgdState()
+    g_copy = g.copy()
+    want_v = sgd.momentum * v - sgd.learning_rate * (g + sgd.weight_decay * p)
+    want_p = p + want_v
+    runs = []
+    for _ in range(2):
+        p2, v2 = p.copy(), v.copy()
+        assert sgd_step(p2, g, v2, sgd) is None
+        runs.append((p2, v2))
+    assert np.array_equal(g, g_copy)
+    for p2, v2 in runs:
+        assert np.array_equal(p2, want_p) and np.array_equal(v2, want_v)
 
 
 def test_sgd_shape_mismatch():
-    state = SgdState(velocity=[np.zeros(3)])
     with pytest.raises(ShapeError):
-        sgd_step([np.zeros(3)], [np.zeros(4)], state)
+        sgd_step(np.zeros(3), np.zeros(4), np.zeros(3), SgdState())
+    with pytest.raises(ShapeError):
+        sgd_step(np.zeros(3), np.zeros(3), np.zeros(2), SgdState())
 
 
 def test_sgd_hyper_validation():
@@ -357,6 +366,10 @@ def test_sgd_hyper_validation():
         SgdState(momentum=1.0)
     with pytest.raises(ValidationError):
         SgdState(weight_decay=-0.1)
+    for field in ("learning_rate", "momentum", "weight_decay"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match=field):
+                SgdState(**{field: bad})
     SgdState(learning_rate=0.0)  # zero learning rate is a legal (frozen) optimiser
 
 

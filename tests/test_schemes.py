@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,14 +166,14 @@ def test_reference_loss_decreases_on_separable_data():
     net = load_network("configs/tinynet2.net")
     train, _ = gen_synthetic(2, 16, net.input_shape, seed=5)
     params = init_dense_params(net, 5)
-    sgd = SgdState()
+    sgd, velocity = SgdState(), None
     losses = []
     for step in range(20):
         lo = (step * 8) % 24
         x = train.images[lo : lo + 8]
         y = train.labels[lo : lo + 8]
-        out = reference_step(net, params, (x, y), sgd)
-        params, sgd = out.params, out.sgd
+        out = reference_step(net, params, (x, y), sgd, velocity)
+        params, velocity = out.params, out.velocity
         losses.append(out.loss)
     assert np.mean(losses[-5:]) < losses[0]
 
@@ -202,10 +204,10 @@ def test_data_parallel_two_shards_matches_reference():
     losses, merged, fab = run_plan(TINY, plan, batches, seed=2)
 
     params = init_dense_params(TINY, 2)
-    sgd = SgdState()
+    sgd, velocity = SgdState(), None
     for (x, y), got in zip(batches, losses):
-        out = reference_step(TINY, params, (x, y), sgd)
-        params, sgd = out.params, out.sgd
+        out = reference_step(TINY, params, (x, y), sgd, velocity)
+        params, velocity = out.params, out.velocity
         assert abs(out.loss - got) / abs(out.loss) < 1e-9
     assert max_rel(merged, params) < 1e-9
 
@@ -310,10 +312,10 @@ def test_model_parallel_matches_reference_after_10_steps():
     losses, merged, fab = run_plan(TINY, plan, batches, seed=9)
 
     params = init_dense_params(TINY, 9)
-    sgd = SgdState()
+    sgd, velocity = SgdState(), None
     for (x, y), got in zip(batches, losses):
-        out = reference_step(TINY, params, (x, y), sgd)
-        params, sgd = out.params, out.sgd
+        out = reference_step(TINY, params, (x, y), sgd, velocity)
+        params, velocity = out.params, out.velocity
         assert abs(out.loss - got) / abs(out.loss) < 1e-9
     assert max_rel(merged, params) < 1e-9
 
@@ -352,10 +354,10 @@ def test_hybrid_2x2_matches_reference():
     losses, merged, fab = run_plan(TINY, plan, batches, seed=4)
 
     params = init_dense_params(TINY, 4)
-    sgd = SgdState()
+    sgd, velocity = SgdState(), None
     for (x, y), got in zip(batches, losses):
-        out = reference_step(TINY, params, (x, y), sgd)
-        params, sgd = out.params, out.sgd
+        out = reference_step(TINY, params, (x, y), sgd, velocity)
+        params, velocity = out.params, out.velocity
         assert abs(out.loss - got) / abs(out.loss) < 1e-9
     assert max_rel(merged, params) < 1e-9
 
@@ -495,37 +497,41 @@ def test_ledger_equals_comm_volume(net, plan):
 # ---------------------------------------------------------------------------
 
 
-class ShapeLog:
-    """Stands in for the engine's meter; records the shape of every array noted."""
-
-    def __init__(self):
-        self.shapes = []
-
-    def note(self, arr):
-        self.shapes.append(arr.shape)
-
-
 @st.composite
 def drawn_nets(draw):
-    """A conv/relu/pool/fc stack on an input of at most 2x8x8, whose filters and
+    """A conv/relu/pool stack on an input of at most 2x9x9, whose filters and
     hidden units are multiples of 4, with random conv cross layers, a per-shard
-    batch and a scheduling mode."""
-    h, w = draw(st.sampled_from([4, 8])), draw(st.sampled_from([4, 8]))
-    lines = [f"input {draw(st.integers(1, 2))} {h} {w}"]
+    batch and a scheduling mode. A conv has stride 1 and 'same' padding or
+    stride 2 and pad 1; a pool is 2x2/2 or the overlapping 3x3/2. The stack
+    ends in an FC head, or in none, when the softmax is the last cross point."""
+    extents = st.sampled_from([4, 5, 8, 9])
+    c, h, w = draw(st.integers(1, 2)), draw(extents), draw(extents)
+    lines = [f"input {c} {h} {w}"]
     convs = []
     for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.sampled_from([1, 3, 5]))
         convs.append(len(lines) - 1)
-        lines.append(f"conv {4 * draw(st.integers(1, 2))} {k} 1 {k // 2}")
+        c = 4 * draw(st.integers(1, 2))
+        if h % 2 == w % 2 and draw(st.booleans()):  # (extent + 2 - k) must be even
+            k = draw(st.sampled_from([1, 3] if h % 2 else [2, 4]))
+            lines.append(f"conv {c} {k} 2 1")
+            h, w = (h + 2 - k) // 2 + 1, (w + 2 - k) // 2 + 1
+        else:
+            k = draw(st.sampled_from([1, 3, 5]))
+            lines.append(f"conv {c} {k} 1 {k // 2}")
         if draw(st.booleans()):
             lines.append("relu")
-        if h % 2 == w % 2 == 0 and draw(st.booleans()):
-            lines.append("maxpool 2 2")
-            h, w = h // 2, w // 2
+        pool = {(0, 0): 2, (1, 1): 3}.get((h % 2, w % 2)) if min(h, w) > 1 else None
+        if pool and draw(st.booleans()):
+            lines.append(f"maxpool {pool} 2")
+            h, w = (h - pool) // 2 + 1, (w - pool) // 2 + 1
     if draw(st.booleans()):
-        lines += [f"fc {4 * draw(st.integers(1, 3))}", "relu"]
-    classes = draw(st.integers(2, 5))
-    lines += [f"fc {classes}", f"softmax {classes}"]
+        if draw(st.booleans()):
+            lines += [f"fc {4 * draw(st.integers(1, 3))}", "relu"]
+        classes = draw(st.integers(2, 5))
+        lines.append(f"fc {classes}")
+    else:
+        classes = c * h * w
+    lines.append(f"softmax {classes}")
     net = parse_network("\n".join(lines), name="drawn")
     cross = tuple(draw(st.sets(st.sampled_from(convs[1:])))) if len(convs) > 1 else ()
     return net, cross, draw(st.integers(1, 2)), draw(st.sampled_from(["lockstep", "threads"]))
@@ -540,32 +546,36 @@ def test_random_nets_and_plans(d, m, case):
     cs = plan_columnized(net, plan)
     batches = [make_batch(net, batch, seed=s) for s in range(2)]
 
-    # every column layer's forward output is (B,) + out_shape; a cross layer
-    # first notes its concatenated input, (B,) + in_shape
+    # each column layer's input is (B,) + in_shape, the logits (B,) + the last
+    # out_shape; the engine keeps the input, each cross layer's concatenated
+    # input and every layer's output, (B,) + out_shape
     def forward(ctx):
         replica, column = divmod(ctx.wid, m)
-        log = ShapeLog()
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         x = batches[0][0][replica * shard : (replica + 1) * shard]
-        column_forward(cs, split_params(init_dense_params(net, 0), cs, column), x, exchange, log)
-        return log.shapes
+        params = split_params(init_dense_params(net, 0), cs, column)
+        logits, caches, kept = column_forward(cs, params, x, exchange)
+        return [a.shape for a, _ in caches] + [logits.shape], kept
 
-    want = [(shard,) + net.input_shape]
+    shapes = [(shard,) + cl.in_shape for cl in cs.col_layers]
+    shapes.append((shard,) + cs.col_layers[-1].out_shape)
+    kept = [(shard,) + net.input_shape]
     for cl in cs.col_layers:
-        want += [(shard,) + cl.in_shape] * cl.cross + [(shard,) + cl.out_shape]
+        kept += [(shard,) + cl.in_shape] * cl.cross + [(shard,) + cl.out_shape]
+    want = (shapes, [math.prod(shape) for shape in kept])
     assert spawn(plan.workers, scheduling=sched).run(forward) == [want] * plan.workers
 
     fab = spawn(plan.workers, scheduling=sched)
     setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
     links = phase_links(plan, cs, batch)
-    params, sgd = init_dense_params(net, 0), SgdState()
+    params, sgd, velocity = init_dense_params(net, 0), SgdState(), None
     losses = []
     for x, y in batches:
         before = fab.ledger.snapshot()
         got = hybrid_step(fab, plan, cs, x, y).loss
         assert link_delta(before, fab.ledger.snapshot()) == links
-        ref = reference_step(net, params, (x, y), sgd)
-        params, sgd = ref.params, ref.sgd
+        ref = reference_step(net, params, (x, y), sgd, velocity)
+        params, velocity = ref.params, ref.velocity
         losses.append((got, ref.loss))
     try:
         merged = gather_dense_params(fab, plan, cs)

@@ -62,6 +62,15 @@ def test_config_validation(blobs10):
         config(small, batch=8)
 
 
+def test_test_split_sample_shape_rejected_up_front(blobs10):
+    train_data, _ = blobs10
+    _, small = gen_synthetic(10, 2, (3, 8, 8), seed=1)
+    with pytest.raises(ValidationError, match=r"test split samples are \(3, 8, 8\)"):
+        config(train_data, small)
+    with pytest.raises(ValidationError, match=r"test split samples are \(3, 8, 8\)"):
+        evaluate(TINY, init_dense_params(TINY, 0), small)
+
+
 # ---------------------------------------------------------------------------
 # training loop behaviour
 # ---------------------------------------------------------------------------
