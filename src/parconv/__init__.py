@@ -27,7 +27,6 @@ from .errors import (
 )
 from .fabric import CommLedger, DeviceSpec, Fabric, MemoryMeter, Worker, spawn
 from .kernels import (
-    ConvParams,
     SgdState,
     conv2d_backward,
     conv2d_forward,

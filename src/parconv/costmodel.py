@@ -155,10 +155,13 @@ def _plan_cost(plan: ParallelPlan, net: NetworkSpec, batch: int) -> _PlanCost:
     )
 
 
-def _step_seconds(pc: _PlanCost, cp: CostParams) -> StepTime:
-    compute = pc.worker_flops / (cp.throughput * efficiency(pc.per_device_batch, cp.b_half))
-    comm = pc.node_bytes / cp.bandwidth + pc.node_messages * cp.latency
-    return StepTime(compute_seconds=compute, comm_seconds=comm)
+def _step_seconds(
+    pc: _PlanCost, throughput: float, bandwidth: float, latency: float, b_half: float
+) -> tuple[float, float]:
+    """(compute, communication) seconds of one update: the one step-time formula."""
+    compute = pc.worker_flops / (throughput * efficiency(pc.per_device_batch, b_half))
+    comm = pc.node_bytes / bandwidth + pc.node_messages * latency
+    return compute, comm
 
 
 def step_time(plan: ParallelPlan, net: NetworkSpec, batch: int, cp: CostParams) -> StepTime:
@@ -166,7 +169,8 @@ def step_time(plan: ParallelPlan, net: NetworkSpec, batch: int, cp: CostParams) 
     pc = _plan_cost(plan, net, batch)
     if pc.footprint_bytes > cp.memory:
         raise InfeasiblePlanError(0, pc.footprint_bytes, cp.memory)
-    return _step_seconds(pc, cp)
+    compute, comm = _step_seconds(pc, cp.throughput, cp.bandwidth, cp.latency, cp.b_half)
+    return StepTime(compute_seconds=compute, comm_seconds=comm)
 
 
 def predict_total(
@@ -239,10 +243,10 @@ def calibrate(
     log_targets = [math.log(t) for t in targets]
 
     def objective(f: float, w: float, l: float, bh: float) -> float:
-        cp = CostParams(throughput=f, bandwidth=w, latency=l, b_half=bh, memory=memory)
         err = 0.0
         for pc, log_obs in zip(plan_costs, log_targets):
-            pred_days = steps_total * _step_seconds(pc, cp).step_seconds / SECONDS_PER_DAY
+            compute, comm = _step_seconds(pc, f, w, l, bh)
+            pred_days = steps_total * (compute + comm) / SECONDS_PER_DAY
             diff = math.log(pred_days) - log_obs
             err += diff * diff
         return err / len(plan_costs)

@@ -1,9 +1,15 @@
 """Dense float64 forward/backward kernels and the SGD update rule.
 
-Layout convention is batch x channels x height x width throughout. All
-reductions go through np.einsum with optimize=False, which never dispatches
-to a threaded BLAS: results are bit-identical no matter which thread runs
-them, which the fabric's determinism contract relies on.
+Layout is batch x channels x height x width throughout. Kernels take plain
+arrays: conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
+each backward takes the forward's input, weights and upstream gradient.
+Windows are square (conv weights are (N, C, k, k)). One read-only strided
+view, _windows, serves conv (im2col is one contiguous copy of it) and
+max-pooling; conv_output_size is the one check that a window tiles its input.
+
+All reductions go through np.einsum with optimize=False, which never
+dispatches to a threaded BLAS: results are bit-identical no matter which
+thread runs them, which the fabric's determinism contract relies on.
 
 Everything here is a pure function of its arguments, except sgd_step, which
 updates the parameter and velocity it is given in place; nothing retains state.
@@ -21,54 +27,9 @@ from .errors import ShapeError, ValidationError
 FLOAT = np.float64
 
 
-def tensor(values) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=FLOAT)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ShapeError(message)
-
-
-# ---------------------------------------------------------------------------
-# Convolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConvParams:
-    """Weights (out_channels, in_channels, kh, kw), bias (out_channels), stride, pad."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    stride: int = 1
-    pad: int = 0
-
-    def __post_init__(self):
-        self.weights = tensor(self.weights)
-        self.bias = tensor(self.bias)
-        if self.weights.ndim != 4:
-            raise ShapeError(f"conv weights must be 4-d, got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"conv bias shape {self.bias.shape} does not match "
-                f"{self.weights.shape[0]} output channels"
-            )
-        if min(self.weights.shape) < 1:
-            raise ValidationError("conv extents must all be >= 1")
-        if self.stride < 1:
-            raise ValidationError(f"conv stride must be >= 1, got {self.stride}")
-        if self.pad < 0:
-            raise ValidationError(f"conv pad must be >= 0, got {self.pad}")
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
@@ -88,73 +49,82 @@ def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """Patches of x as (B, H'*W', C*kh*kw); returns (cols, H', W')."""
+def _windows(x: np.ndarray, k: int, stride: int, pad: int = 0) -> np.ndarray:
+    """Read-only (B, C, H', W', k, k) view of every k x k window of x, zero padded by pad."""
     b, c, h, w = x.shape
-    ho = conv_output_size(h, kh, stride, pad)
-    wo = conv_output_size(w, kw, stride, pad)
+    ho = conv_output_size(h, k, stride, pad)
+    wo = conv_output_size(w, k, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     sb, sc, sh, sw = x.strides
-    patches = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
-        shape=(b, ho, wo, c, kh, kw),
-        strides=(sb, stride * sh, stride * sw, sc, sh, sw),
+        shape=(b, c, ho, wo, k, k),
+        strides=(sb, sc, stride * sh, stride * sw, sh, sw),
         writeable=False,
     )
-    cols = patches.reshape(b, ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
 
 
-def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """out[b,n,y,x] = bias[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j]."""
+# ---------------------------------------------------------------------------
+# Convolution
+# ---------------------------------------------------------------------------
+
+
+def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
     _require(x.ndim == 4, f"conv input must be 4-d, got {x.shape}")
     _require(
-        x.shape[1] == p.in_channels,
-        f"conv input has {x.shape[1]} channels, weights expect {p.in_channels}",
+        w.ndim == 4 and w.shape[2] == w.shape[3] and min(w.shape[:2]) >= 1,
+        f"conv weights must be (N, C, k, k) with N, C >= 1, got {w.shape}",
     )
-    n, _, kh, kw = p.weights.shape
-    cols, ho, wo = _im2col(x, kh, kw, p.stride, p.pad)
-    wmat = p.weights.reshape(n, -1)
-    out = np.einsum("bpk,nk->bnp", cols, wmat)
-    out += p.bias[None, :, None]
+    _require(
+        x.shape[1] == w.shape[1],
+        f"conv input has {x.shape[1]} channels, weights expect {w.shape[1]}",
+    )
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Patches of x as a contiguous (B, H', W', C, k, k) array."""
+    return np.ascontiguousarray(_windows(x, k, stride, pad).transpose(0, 2, 3, 1, 4, 5))
+
+
+def conv2d_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
+) -> np.ndarray:
+    """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j]."""
+    _conv_shapes(x, w)
+    n = w.shape[0]
+    _require(b.shape == (n,), f"conv bias shape {b.shape} does not match {n} output channels")
+    cols = _im2col(x, w.shape[2], stride, pad)
+    _, ho, wo = cols.shape[:3]
+    out = np.einsum("bpk,nk->bnp", cols.reshape(x.shape[0], ho * wo, -1), w.reshape(n, -1))
+    out += b[None, :, None]
     return np.ascontiguousarray(out.reshape(x.shape[0], n, ho, wo))
 
 
 def conv2d_backward(
-    x: np.ndarray, p: ConvParams, grad_out: np.ndarray
+    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias."""
-    _require(x.ndim == 4, f"conv input must be 4-d, got {x.shape}")
-    n, c, kh, kw = p.weights.shape
-    ho = conv_output_size(x.shape[2], kh, p.stride, p.pad)
-    wo = conv_output_size(x.shape[3], kw, p.stride, p.pad)
+    _conv_shapes(x, w)
+    n, c, k, _ = w.shape
+    cols = _im2col(x, k, stride, pad)
+    b, ho, wo = cols.shape[:3]
     _require(
-        grad_out.shape == (x.shape[0], n, ho, wo),
-        f"conv grad_out shape {grad_out.shape} does not match forward output "
-        f"{(x.shape[0], n, ho, wo)}",
+        grad_out.shape == (b, n, ho, wo),
+        f"conv grad_out shape {grad_out.shape} does not match forward output {(b, n, ho, wo)}",
     )
-    b = x.shape[0]
-    cols, _, _ = _im2col(x, kh, kw, p.stride, p.pad)
     go = grad_out.reshape(b, n, ho * wo)
-
     grad_bias = np.einsum("bnp->n", go)
-    grad_w = np.einsum("bnp,bpk->nk", go, cols).reshape(p.weights.shape)
+    grad_w = np.einsum("bnp,bpk->nk", go, cols.reshape(b, ho * wo, -1)).reshape(w.shape)
+    grad_cols = np.einsum("bnp,nk->bpk", go, w.reshape(n, -1)).reshape(b, ho, wo, c, k, k)
 
-    wmat = p.weights.reshape(n, -1)
-    grad_cols = np.einsum("bnp,nk->bpk", go, wmat)
-    grad_cols = grad_cols.reshape(b, ho, wo, c, kh, kw)
-
-    hp, wp = x.shape[2] + 2 * p.pad, x.shape[3] + 2 * p.pad
-    grad_x = np.zeros((b, c, hp, wp), dtype=FLOAT)
-    for i in range(kh):
-        for j in range(kw):
-            grad_x[:, :, i : i + p.stride * ho : p.stride, j : j + p.stride * wo : p.stride] += (
-                grad_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    if p.pad > 0:
-        grad_x = grad_x[:, :, p.pad : hp - p.pad, p.pad : wp - p.pad]
-    return np.ascontiguousarray(grad_x), grad_w, grad_bias
+    # col2im: add each window offset's gradient back onto the padded input
+    h, wd = x.shape[2:]
+    grad_x = np.zeros((b, c, h + 2 * pad, wd + 2 * pad), dtype=FLOAT)
+    for i, j in np.ndindex(k, k):
+        ys, xs = slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)
+        grad_x[:, :, ys, xs] += grad_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(grad_x[:, :, pad : pad + h, pad : pad + wd]), grad_w, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +172,11 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, grad_out, 0.0)
 
 
-def _pool_windows(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
-    b, c, h, w = x.shape
-    ho = conv_output_size(h, k, stride, 0)
-    wo = conv_output_size(w, k, stride, 0)
-    sb, sc, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(b, c, ho, wo, k, k),
-        strides=(sb, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
-    return win.reshape(b, c, ho, wo, k * k), ho, wo
-
-
 def maxpool_forward(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Window max plus argmax (flat index within each k*k window, first max wins)."""
     _require(x.ndim == 4, f"maxpool input must be 4-d, got {x.shape}")
-    win, _, _ = _pool_windows(x, k, stride)
+    win = _windows(x, k, stride)
+    win = win.reshape(*win.shape[:4], k * k)
     argmax = np.argmax(win, axis=-1)
     out = np.take_along_axis(win, argmax[..., None], axis=-1)[..., 0]
     return np.ascontiguousarray(out), argmax
@@ -230,20 +187,17 @@ def maxpool_backward(
 ) -> np.ndarray:
     """Routes each upstream gradient to its window's argmax position (from maxpool_forward)."""
     b, c, h, w = x.shape
-    ho = conv_output_size(h, k, stride, 0)
-    wo = conv_output_size(w, k, stride, 0)
-    _require(grad_out.shape == (b, c, ho, wo), "maxpool grad_out shape mismatch")
-
+    ho, wo = _windows(x, k, stride).shape[2:4]
+    _require(
+        grad_out.shape == argmax.shape == (b, c, ho, wo), "maxpool grad_out/argmax shape mismatch"
+    )
     iy, ix = np.divmod(argmax, k)
-    oy = np.arange(ho)[None, None, :, None] * stride
-    ox = np.arange(wo)[None, None, None, :] * stride
-    rows = (oy + iy).ravel()
-    cols = (ox + ix).ravel()
-    bc = np.repeat(np.arange(b * c), ho * wo)
-    flat = (bc * h + rows) * w + cols
-
+    oy = np.arange(ho)[:, None] * stride
+    ox = np.arange(wo) * stride
+    bc = np.arange(b * c).reshape(b, c, 1, 1)
+    flat = (bc * h + oy + iy) * w + ox + ix
     grad_x = np.zeros(b * c * h * w, dtype=FLOAT)
-    np.add.at(grad_x, flat, grad_out.ravel())
+    np.add.at(grad_x, flat.ravel(), grad_out.ravel())
     return grad_x.reshape(b, c, h, w)
 
 

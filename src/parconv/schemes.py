@@ -32,7 +32,6 @@ from . import rng
 from .errors import ShapeError, ValidationError
 from .fabric import Fabric, Worker
 from .kernels import (
-    ConvParams,
     SgdState,
     conv2d_backward,
     conv2d_forward,
@@ -336,8 +335,7 @@ def column_forward(
         layer = cl.layer
         argmax = None
         if isinstance(layer, Conv):
-            p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-            out = conv2d_forward(a, p)
+            out = conv2d_forward(a, params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
         elif isinstance(layer, FC):
             out = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
         elif isinstance(layer, ReLU):
@@ -384,8 +382,7 @@ def column_fwd_bwd(
             if isinstance(layer, SoftmaxXent):
                 g_in = g.reshape(a.shape)
             elif isinstance(layer, Conv):
-                p = ConvParams(params[cl.index]["w"], params[cl.index]["b"], layer.stride, layer.pad)
-                g_in, gw, gb = conv2d_backward(a, p, g)
+                g_in, gw, gb = conv2d_backward(a, params[cl.index]["w"], g, layer.stride, layer.pad)
                 grads[cl.index] = {"w": gw, "b": gb}
             elif isinstance(layer, FC):
                 g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), params[cl.index]["w"], g)
@@ -473,7 +470,7 @@ def setup_workers(
     Each worker keeps its parameters as one flat vector in pack_tree order,
     plus per-layer views of it for the engine; the column root (replica 0)
     also keeps a velocity vector of the same layout, which it updates with
-    `sgd`.
+    `sgd`. Each also keeps `cs`, which every later call must pass again.
     """
     _check_layout(fabric, plan, cs)
     m = plan.model_columns
@@ -492,6 +489,7 @@ def setup_workers(
         replica, column = divmod(ctx.wid, m)
         state["replica"] = replica
         state["column"] = column
+        state["cs"] = cs
         state["params"] = flat
         state["layers"] = unpack_tree(flat, cs)
         state["sgd"] = sgd
@@ -502,10 +500,16 @@ def setup_workers(
     fabric.run(program, args)
 
 
-def _state(ctx: Worker) -> dict:
-    """The worker's state from setup_workers; raises naming the worker if there is none."""
+def _state(ctx: Worker, cs: ColumnizedSpec) -> dict:
+    """The worker's state from setup_workers; raises naming the worker if there is
+    none or if it was set up for a different columnized spec than `cs`."""
     if "params" not in ctx.local:
         raise ValidationError(f"worker {ctx.wid} has no parameters; run setup_workers first")
+    if ctx.local["cs"] != cs:
+        raise ValidationError(
+            f"worker {ctx.wid} was set up for a different plan or network; "
+            f"run setup_workers with this one first"
+        )
     return ctx.local
 
 
@@ -534,7 +538,7 @@ def hybrid_step(
     before_m = fabric.ledger.total_messages
 
     def program(ctx: Worker, shard_x, shard_y):
-        state = _state(ctx)
+        state = _state(ctx, cs)
         replica, column = state["replica"], state["column"]
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
@@ -564,7 +568,8 @@ def hybrid_step(
 
 def gather_dense_params(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> ParamSet:
     """Merge replica 0's column parameters back into the dense layout (fresh copies)."""
-    results = fabric.run(lambda ctx: _state(ctx)["layers"])
+    _check_layout(fabric, plan, cs)
+    results = fabric.run(lambda ctx: _state(ctx, cs)["layers"])
     columns = [results[plan.worker_of(0, j)] for j in range(plan.model_columns)]
     return merge_params(columns, cs)
 
@@ -581,11 +586,12 @@ def evaluation_errors(
     Forward-only; argmax ties break to the lowest class index. The exchange
     traffic is ledgered like any other fabric communication.
     """
+    _check_layout(fabric, plan, cs)
     m = plan.model_columns
     labels = np.asarray(labels, dtype=np.int64)
 
     def program(ctx: Worker):
-        state = _state(ctx)
+        state = _state(ctx, cs)
         if state["replica"] != 0:
             return None
         column = state["column"]

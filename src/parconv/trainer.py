@@ -11,8 +11,10 @@ compared directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +51,17 @@ def _check_split(net: NetworkSpec, data: Dataset, split: str) -> None:
         raise ValidationError(
             f"{split} split samples are {data.sample_shape}, network input is {net.input_shape}"
         )
+
+
+def _batches(seed: int, n: int, batch: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The batch schedule: endless (epoch, sample indices) pairs, epoch after epoch."""
+    per_epoch = n // batch
+    if per_epoch < 1:
+        raise ValidationError("dataset too small for one batch")
+    for epoch in itertools.count():
+        order = rng.permutation(seed, epoch, n)
+        for step in range(per_epoch):
+            yield epoch, order[step * batch : (step + 1) * batch]
 
 
 @dataclass
@@ -120,29 +133,27 @@ def train(cfg: TrainConfig) -> TrainResult:
     setup_workers(fabric, plan, cs, dense, cfg.sgd)
 
     steps_per_epoch = cfg.train_data.size // cfg.batch
+    schedule = itertools.islice(
+        _batches(cfg.seed, cfg.train_data.size, cfg.batch), cfg.epochs * steps_per_epoch
+    )
     records: list[MetricsRecord] = []
-    update = 0
     wall_start = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(cfg.seed, epoch, cfg.train_data.size)
-        for step in range(steps_per_epoch):
-            chosen = order[step * cfg.batch : (step + 1) * cfg.batch]
-            result = hybrid_step(
-                fabric, plan, cs, cfg.train_data.images[chosen], cfg.train_data.labels[chosen]
+    for update, (epoch, chosen) in enumerate(schedule, start=1):
+        result = hybrid_step(
+            fabric, plan, cs, cfg.train_data.images[chosen], cfg.train_data.labels[chosen]
+        )
+        records.append(
+            MetricsRecord(
+                update=update,
+                epoch=epoch + 1,
+                train_loss=result.loss,
+                test_error=None,
+                sim_seconds=update * step_seconds,
+                wall_seconds=(time.perf_counter() - wall_start) if cfg.record_wall_time else 0.0,
+                ledger_bytes=fabric.ledger.total_bytes,
             )
-            update += 1
-            records.append(
-                MetricsRecord(
-                    update=update,
-                    epoch=epoch + 1,
-                    train_loss=result.loss,
-                    test_error=None,
-                    sim_seconds=update * step_seconds,
-                    wall_seconds=(time.perf_counter() - wall_start) if cfg.record_wall_time else 0.0,
-                    ledger_bytes=fabric.ledger.total_bytes,
-                )
-            )
-        if cfg.test_data is not None and records:
+        )
+        if cfg.test_data is not None and update % steps_per_epoch == 0:  # the epoch's last update
             err = _fabric_error_rate(fabric, plan, cs, cfg.test_data, eval_batch=shard)
             records[-1] = records[-1].with_test_error(err)
 
@@ -221,23 +232,6 @@ def _param_rel(a: ParamSet, b: ParamSet) -> float:
     return worst
 
 
-def _batch_schedule(seed: int, n: int, batch: int, steps: int) -> list[np.ndarray]:
-    """The trainer's batch order, flattened across as many epochs as needed."""
-    per_epoch = n // batch
-    if per_epoch < 1:
-        raise ValidationError("dataset too small for one batch")
-    batches = []
-    epoch = 0
-    while len(batches) < steps:
-        order = rng.permutation(seed, epoch, n)
-        for step in range(per_epoch):
-            if len(batches) == steps:
-                break
-            batches.append(order[step * batch : (step + 1) * batch])
-        epoch += 1
-    return batches
-
-
 def equivalence_data(net: NetworkSpec, batch: int, seed: int) -> Dataset:
     """Deterministic in-memory blobs sized for the equivalence runs."""
     per_class = max(1, math.ceil(8 * batch / net.classes))
@@ -260,7 +254,7 @@ def run_equivalence(
         plan.shard(batch)  # before any training
     if data is None:
         data = equivalence_data(net, batch, seed)
-    batches = _batch_schedule(seed, data.size, batch, steps)
+    batches = [chosen for _, chosen in itertools.islice(_batches(seed, data.size, batch), steps)]
 
     ref_params, ref_velocity = init_dense_params(net, seed), None
     ref_losses: list[float] = []

@@ -6,7 +6,11 @@ slow, obviously-correct implementations the fast kernels are checked against.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"  # the repo's shipped configs
 
 
 class MacCounter:

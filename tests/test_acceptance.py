@@ -18,7 +18,6 @@ from parconv.costmodel import (
 from parconv.data import gen_synthetic
 from parconv.errors import InfeasiblePlanError
 from parconv.kernels import (
-    ConvParams,
     conv2d_backward,
     conv2d_forward,
     fc_backward,
@@ -43,12 +42,12 @@ from parconv.fabric import spawn
 from parconv.kernels import SgdState
 from parconv.trainer import TrainConfig, run_equivalence, train
 
-from oracles import central_difference, relative_error
+from oracles import CONFIGS, central_difference, relative_error
 
-TINY = load_network("configs/tinynet.net")
-TINY2 = load_network("configs/tinynet2.net")
-MINI = load_network("configs/minicnn.net")
-ALEX = load_network("configs/alexnet.net")
+TINY = load_network(CONFIGS / "tinynet.net")
+TINY2 = load_network(CONFIGS / "tinynet2.net")
+MINI = load_network(CONFIGS / "minicnn.net")
+ALEX = load_network(CONFIGS / "alexnet.net")
 
 PLANS = [
     ParallelPlan(1, 1),
@@ -94,13 +93,12 @@ def test_criterion_2_gradient_correctness():
         h = k + rs.randint(0, 4)
         h += (stride - (h + 2 * pad - k) % stride) % stride
         x, w, bias = rs.randn(b, c, h, h), rs.randn(n, c, k, k), rs.randn(n)
-        p = ConvParams(w, bias, stride, pad)
 
         def loss():
-            out = conv2d_forward(x, p)
+            out = conv2d_forward(x, w, bias, stride, pad)
             return 0.5 * float(np.sum(out * out))
 
-        gx, gw, gb = conv2d_backward(x, p, conv2d_forward(x, p))
+        gx, gw, gb = conv2d_backward(x, w, conv2d_forward(x, w, bias, stride, pad), stride, pad)
         for analytic, arr in ((gx, x), (gw, w), (gb, bias)):
             checks += 1
             if relative_error(analytic, central_difference(loss, arr)) >= 1e-4:

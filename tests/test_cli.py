@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -8,7 +7,7 @@ from parconv.cli import main
 from parconv.costmodel import CostParams, save_cost_params
 from parconv.metrics import read_csv
 
-CONFIGS = Path("configs")
+from oracles import CONFIGS
 
 
 @pytest.fixture()
@@ -252,7 +251,7 @@ def test_estimate_reproduces_table1_within_10_percent(tmp_path, capsys):
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "parconv.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        cwd=CONFIGS.parent / "src", capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0
     for sub in ("gen-data", "verify", "train", "estimate", "calibrate"):

@@ -16,8 +16,10 @@ from parconv.errors import CalibrationError, InfeasiblePlanError, ValidationErro
 from parconv.netdef import columnize, load_network, shape_report
 from parconv.schemes import ParallelPlan
 
-TINY = load_network("configs/tinynet.net")
-ALEX = load_network("configs/alexnet.net")
+from oracles import CONFIGS
+
+TINY = load_network(CONFIGS / "tinynet.net")
+ALEX = load_network(CONFIGS / "alexnet.net")
 CROSS = (3, 6, 8, 10)
 TABLE1 = [
     (ParallelPlan(1, 1), 10.5),

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from parconv.errors import ShapeError, ValidationError
 from parconv.kernels import (
-    ConvParams,
     SgdState,
+    _windows,
     conv2d_backward,
     conv2d_forward,
     conv_output_size,
@@ -36,14 +36,12 @@ R = np.random.RandomState
 
 def test_conv_identity_kernel():
     x = np.array([[[[3.25]]]])
-    p = ConvParams(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
-    assert conv2d_forward(x, p).item() == 3.25
+    assert conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1)).item() == 3.25
 
 
 def test_conv_sum_of_nine_ones():
     x = np.ones((1, 1, 3, 3))
-    p = ConvParams(weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
-    out = conv2d_forward(x, p)
+    out = conv2d_forward(x, np.ones((1, 1, 3, 3)), np.zeros(1))
     assert out.shape == (1, 1, 1, 1)
     assert out.item() == 9.0
 
@@ -53,19 +51,65 @@ def test_conv_matches_naive_oracle():
     x = rs.randn(1, 2, 5, 5)
     w = rs.randn(3, 2, 3, 3)
     b = rs.randn(3)
-    got = conv2d_forward(x, ConvParams(w, b, stride=2, pad=1))
+    got = conv2d_forward(x, w, b, stride=2, pad=1)
     want = naive_conv2d(x, w, b, stride=2, pad=1)
     assert got.shape == want.shape == (1, 3, 3, 3)
     assert relative_error(got, want, floor=1e-12) < 1e-12
 
 
 def test_conv_shape_errors():
-    p = ConvParams(weights=np.ones((1, 2, 3, 3)), bias=np.zeros(1))
+    w, b = np.ones((1, 2, 3, 3)), np.zeros(1)
     with pytest.raises(ShapeError):
-        conv2d_forward(np.ones((1, 3, 5, 5)), p)  # channel mismatch
+        conv2d_forward(np.ones((1, 3, 5, 5)), w, b)  # channel mismatch
     with pytest.raises(ValidationError):
         # (5 - 3) not divisible by stride 2 after padding 0 -> fractional extent
-        conv2d_forward(np.ones((1, 2, 6, 6)), ConvParams(np.ones((1, 2, 3, 3)), np.zeros(1), stride=2))
+        conv2d_forward(np.ones((1, 2, 6, 6)), w, b, stride=2)
+
+
+X5 = np.ones((1, 2, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: conv2d_forward(X5, np.ones((1, 2, 3, 2)), np.zeros(1)), "weights must be"),
+        (lambda: conv2d_backward(X5, np.ones((1, 2, 3, 2)), np.ones((1, 1, 3, 4))),
+         "weights must be"),
+        (lambda: conv2d_forward(X5, np.ones((1, 2, 3, 3)), np.zeros(2)), "bias shape"),
+        (lambda: conv2d_forward(X5, np.ones((1, 2, 3, 3)), np.zeros((1, 1))), "bias shape"),
+        (lambda: conv2d_forward(X5, np.ones((1, 3, 3, 3)), np.zeros(1)), "channels"),
+        (lambda: conv2d_backward(X5, np.ones((1, 3, 3, 3)), np.ones((1, 1, 3, 3))), "channels"),
+        (lambda: conv2d_backward(X5, np.ones((1, 2, 3, 3)), np.ones((1, 1, 2, 2))), "grad_out"),
+        (lambda: conv2d_backward(X5, np.ones((1, 2, 3, 3)), np.ones((1, 2, 3, 3))), "grad_out"),
+    ],
+    ids=[
+        "non-square-forward", "non-square-backward", "bias-length", "bias-2d",
+        "channels-forward", "channels-backward", "grad-out-extent", "grad-out-channels",
+    ],
+)
+def test_conv_rejects_bad_shapes(call, match):
+    with pytest.raises(ShapeError, match=match):
+        call()
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 3), st.integers(0, 2), st.integers(1, 4), st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 0, 3, 2, 0)  # overlapping 3/2 pooling windows
+@example(3, 2, 1, 4, 3, 1)  # stride-2, pad-1 conv windows
+@settings(max_examples=60, deadline=None)
+def test_windows_match_sliding_window_view(k, stride, pad, ho, wo, seed):
+    h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+    assume(h >= 1 and w >= 1)
+    x = R(seed).randn(2, 3, h, w)
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    want = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    want = want[:, :, ::stride, ::stride]
+    got = _windows(x, k, stride, pad)
+    assert got.shape == want.shape == (2, 3, ho, wo, k, k)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -88,17 +132,17 @@ def test_maxpool_rejects_bad_window(k, stride):
 def test_conv_backward_zero_upstream():
     rs = R(1)
     x = rs.randn(2, 2, 4, 4)
-    p = ConvParams(rs.randn(3, 2, 3, 3), rs.randn(3), stride=1, pad=1)
-    gx, gw, gb = conv2d_backward(x, p, np.zeros((2, 3, 4, 4)))
+    w = rs.randn(3, 2, 3, 3)
+    gx, gw, gb = conv2d_backward(x, w, np.zeros((2, 3, 4, 4)), stride=1, pad=1)
     assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_conv_backward_1x1_closed_form():
     rs = R(2)
     x = rs.randn(2, 3, 4, 4)
-    p = ConvParams(rs.randn(2, 3, 1, 1), np.zeros(2))
+    w = rs.randn(2, 3, 1, 1)
     g = rs.randn(2, 2, 4, 4)
-    _, gw, _ = conv2d_backward(x, p, g)
+    _, gw, _ = conv2d_backward(x, w, g)
     for n in range(2):
         for c in range(3):
             want = np.sum(x[:, c] * g[:, n])
@@ -112,11 +156,11 @@ def test_conv_backward_finite_difference():
     b = rs.randn(3)
 
     def loss():
-        out = conv2d_forward(x, ConvParams(w, b, stride=2, pad=1))
+        out = conv2d_forward(x, w, b, stride=2, pad=1)
         return 0.5 * float(np.sum(out * out))
 
-    out = conv2d_forward(x, ConvParams(w, b, stride=2, pad=1))
-    gx, gw, gb = conv2d_backward(x, ConvParams(w, b, stride=2, pad=1), out)
+    out = conv2d_forward(x, w, b, stride=2, pad=1)
+    gx, gw, gb = conv2d_backward(x, w, out, stride=2, pad=1)
     assert relative_error(gx, central_difference(loss, x)) < 1e-4
     assert relative_error(gw, central_difference(loss, w)) < 1e-4
     assert relative_error(gb, central_difference(loss, b)) < 1e-4
@@ -221,6 +265,15 @@ def test_maxpool_matches_naive_oracle():
     x = R(9).randn(1, 1, 6, 6)
     out, _ = maxpool_forward(x, 2, 2)
     assert np.array_equal(out, naive_maxpool(x, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "g_shape, argmax_shape", [((1, 1, 2, 1), (1, 1, 2, 2)), ((1, 1, 2, 2), (1, 1, 1, 1))]
+)
+def test_maxpool_backward_rejects_bad_shapes(g_shape, argmax_shape):
+    g, argmax = np.ones(g_shape), np.zeros(argmax_shape, dtype=int)
+    with pytest.raises(ShapeError, match="maxpool grad_out/argmax shape mismatch"):
+        maxpool_backward(np.ones((1, 1, 4, 4)), 2, 2, g, argmax)
 
 
 def test_maxpool_backward_scatters_correctly():
@@ -394,9 +447,9 @@ def test_relu_idempotent_and_nonnegative(x):
 def test_kernels_produce_finite_values(seed):
     rs = R(seed)
     x = rs.randn(2, 2, 6, 6)
-    p = ConvParams(rs.randn(4, 2, 3, 3), rs.randn(4), stride=1, pad=1)
-    out = conv2d_forward(x, p)
-    gx, gw, gb = conv2d_backward(x, p, rs.randn(*out.shape))
+    w, b = rs.randn(4, 2, 3, 3), rs.randn(4)
+    out = conv2d_forward(x, w, b, stride=1, pad=1)
+    gx, gw, gb = conv2d_backward(x, w, rs.randn(*out.shape), stride=1, pad=1)
     pooled, argmax = maxpool_forward(out, 2, 2)
     flat = pooled.reshape(2, -1)
     w2 = rs.randn(flat.shape[1], 5)
@@ -435,14 +488,13 @@ def test_backward_kernels_random_shapes_100_trials():
         x = rs.randn(b, c, h, h)
         w = rs.randn(n, c, k, k)
         bias = rs.randn(n)
-        p = ConvParams(w, bias, stride, pad)
 
         def conv_loss():
-            out = conv2d_forward(x, p)
+            out = conv2d_forward(x, w, bias, stride, pad)
             return 0.5 * float(np.sum(out * out))
 
-        out = conv2d_forward(x, p)
-        gx, gw, gb = conv2d_backward(x, p, out)
+        out = conv2d_forward(x, w, bias, stride, pad)
+        gx, gw, gb = conv2d_backward(x, w, out, stride, pad)
         assert relative_error(gx, central_difference(conv_loss, x)) < 1e-4
         assert relative_error(gw, central_difference(conv_loss, w)) < 1e-4
         assert relative_error(gb, central_difference(conv_loss, bias)) < 1e-4

@@ -16,7 +16,7 @@ from parconv.netdef import (
 
 from parconv.schemes import ParallelPlan, comm_phases
 
-from oracles import MacCounter, naive_conv2d, naive_matmul
+from oracles import CONFIGS, MacCounter, naive_conv2d, naive_matmul
 
 TINY = """
 input 3 16 16
@@ -104,7 +104,7 @@ def test_shape_inference_total_and_positive():
 
 
 def test_load_network_names_from_filename():
-    net = load_network("configs/tinynet.net")
+    net = load_network(CONFIGS / "tinynet.net")
     assert net.name == "tinynet"
 
 

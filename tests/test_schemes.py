@@ -30,9 +30,11 @@ from parconv.schemes import (
     unpack_tree,
 )
 
-TINY = load_network("configs/tinynet.net")
-MINI = load_network("configs/minicnn.net")
-MID = load_network("stepbench/configs/midnet.net")
+from oracles import CONFIGS
+
+TINY = load_network(CONFIGS / "tinynet.net")
+MINI = load_network(CONFIGS / "minicnn.net")
+MID = load_network(CONFIGS.parent / "stepbench" / "configs" / "midnet.net")
 
 
 def make_batch(net, b, seed=0):
@@ -163,7 +165,7 @@ def test_reference_uniform_logits_loss_ln10():
 def test_reference_loss_decreases_on_separable_data():
     from parconv.data import gen_synthetic
 
-    net = load_network("configs/tinynet2.net")
+    net = load_network(CONFIGS / "tinynet2.net")
     train, _ = gen_synthetic(2, 16, net.input_shape, seed=5)
     params = init_dense_params(net, 5)
     sgd, velocity = SgdState(), None
@@ -277,7 +279,7 @@ def test_second_setup_gives_back_accounted_memory():
     assert fab.meter.current == first
 
 
-@pytest.mark.parametrize(
+ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
         lambda fab, plan, cs, x, y: hybrid_step(fab, plan, cs, x, y),
@@ -286,11 +288,28 @@ def test_second_setup_gives_back_accounted_memory():
     ],
     ids=["hybrid_step", "evaluation_errors", "gather_dense_params"],
 )
+
+
+@ENTRY_POINTS
 def test_workers_never_set_up_are_named(call):
     plan = ParallelPlan(1, 1)
     x, y = make_batch(TINY, 4)
     with pytest.raises(ValidationError, match="worker 0 has no parameters; run setup_workers"):
         call(spawn(1), plan, plan_columnized(TINY, plan), x, y)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@ENTRY_POINTS
+def test_plan_other_than_the_set_up_one_is_named(call, sched):
+    """Set up under d2m1, then called with d1m2 on the same two workers."""
+    fab = spawn(2, scheduling=sched)
+    setup = ParallelPlan(2, 1)
+    setup_workers(fab, setup, plan_columnized(TINY, setup), init_dense_params(TINY, 0), SgdState())
+    other = ParallelPlan(1, 2, (3,))
+    x, y = make_batch(TINY, 4)
+    with pytest.raises(ValidationError, match="worker 0 was set up for a different plan"):
+        call(fab, other, plan_columnized(TINY, other), x, y)
+    assert hybrid_step(fab, setup, plan_columnized(TINY, setup), x, y).loss > 0
 
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])

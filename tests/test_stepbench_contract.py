@@ -11,6 +11,8 @@ from parconv import fabric, schemes
 from parconv.kernels import SgdState
 from parconv.netdef import load_network
 
+from oracles import CONFIGS
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "stepbench" / "tracer.py"
 
 
@@ -31,7 +33,7 @@ def test_tracer_spans_every_patched_name_and_restores_originals():
     )
     originals = {(owner, name): owner.__dict__[name] for owner, name in patched}
 
-    net = load_network("configs/tinynet.net")
+    net = load_network(CONFIGS / "tinynet.net")
     plan = schemes.ParallelPlan(2, 2, (3,))
     cs = schemes.plan_columnized(net, plan)
     dense = schemes.init_dense_params(net, 0)

@@ -11,8 +11,10 @@ from parconv.netdef import columnize, load_network, worker_footprint_bytes
 from parconv.schemes import ParallelPlan, init_dense_params
 from parconv.trainer import TrainConfig, evaluate, run_equivalence, train
 
-TINY = load_network("configs/tinynet.net")
-TINY2 = load_network("configs/tinynet2.net")
+from oracles import CONFIGS
+
+TINY = load_network(CONFIGS / "tinynet.net")
+TINY2 = load_network(CONFIGS / "tinynet2.net")
 
 PLANS = [
     ParallelPlan(1, 1),
