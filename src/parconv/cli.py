@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import costmodel, metrics, trainer
 from .data import gen_synthetic, load_dataset, save_dataset
-from .errors import ParconvError, ValidationError
+from .errors import InfeasiblePlanError, ParconvError, ValidationError
 from .kernels import SgdState
 from .netdef import load_network
-from .schemes import ParallelPlan, load_plan
+from .schemes import ParallelPlan, load_plan, parse_layer_list
 
 EQUIVALENCE_TOLERANCE = 1e-9
 
@@ -112,11 +112,17 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_plans(text: str, flag: str) -> list[ParallelPlan]:
+    """The plans named by a comma-separated list of plan files."""
+    plans = [load_plan(p.strip()) for p in text.split(",") if p.strip()]
+    if not plans:
+        raise ValidationError(f"{flag} names no plan files")
+    return plans
+
+
 def _cmd_verify(args) -> int:
     net = load_network(args.net)
-    plans = [load_plan(p.strip()) for p in args.plans.split(",") if p.strip()]
-    if not plans:
-        raise ValidationError("--plans names no plan files")
+    plans = _load_plans(args.plans, "--plans")
     results = trainer.run_equivalence(
         net, plans, steps=args.steps, seed=args.seed, batch=args.batch, scheduling=args.sched
     )
@@ -136,11 +142,11 @@ def _cmd_verify(args) -> int:
 def _load_splits(path_text: str):
     path = Path(path_text)
     if path.is_dir():
-        train = load_dataset(path / "train.psds", "train")
+        train = load_dataset(path / "train.psds")
         test_path = path / "test.psds"
-        test = load_dataset(test_path, "test") if test_path.exists() else None
+        test = load_dataset(test_path) if test_path.exists() else None
         return train, test
-    return load_dataset(path, "train"), None
+    return load_dataset(path), None
 
 
 def _cmd_train(args) -> int:
@@ -190,21 +196,25 @@ def _cmd_train(args) -> int:
 def _cmd_estimate(args) -> int:
     net = load_network(args.net)
     cp = costmodel.load_cost_params(args.cost)
-    plans = [load_plan(p.strip()) for p in args.plan.split(",") if p.strip()]
-    if not plans:
-        raise ValidationError("--plan names no plan files")
+    # every plan is predicted before the table starts, so a bad input exits 1
+    # with no row printed; only a plan that does not fit in memory gets a row
+    rows = []
+    for plan in _load_plans(args.plan, "--plan"):
+        try:
+            pred = costmodel.predict_total(
+                plan, net, args.batch, args.epochs, args.dataset_size, cp
+            )
+        except InfeasiblePlanError as err:
+            pred = err
+        rows.append((plan, pred))
     header = (f"{'plan':>8} {'workers':>7} {'compute_s':>12} {'comm_s':>12} "
               f"{'step_s':>12} {'epoch_s':>14} {'days':>10}")
     print(f"net {net.name}: batch {args.batch}, {args.epochs} epochs, "
           f"dataset {args.dataset_size} samples")
     print(header)
-    for plan in plans:
-        try:
-            pred = costmodel.predict_total(
-                plan, net, args.batch, args.epochs, args.dataset_size, cp
-            )
-        except ParconvError as err:
-            print(f"{plan.describe():>8} {plan.workers:>7} {'infeasible':>12}  ({err})")
+    for plan, pred in rows:
+        if isinstance(pred, InfeasiblePlanError):
+            print(f"{plan.describe():>8} {plan.workers:>7} {'infeasible':>12}  ({pred})")
             continue
         st = pred.step
         print(
@@ -215,30 +225,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _read_observations(path_text: str, cross: tuple[int, ...]):
-    rows = []
-    for lineno, raw in enumerate(Path(path_text).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts[:3] == ["plan_d", "plan_m", "days"]:
-            continue  # header
-        if len(parts) != 3:
-            raise ValidationError(f"{path_text}:{lineno}: expected 'd,m,days', got {raw!r}")
-        try:
-            d, m, days = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValidationError(f"{path_text}:{lineno}: bad numbers in {raw!r}") from None
-        plan = ParallelPlan(d, m, cross if m > 1 else ())
-        rows.append((plan, days))
-    return rows
-
-
 def _cmd_calibrate(args) -> int:
     net = load_network(args.net)
-    cross = tuple(int(t) for t in args.cross_layers.replace(",", " ").split()) if args.cross_layers else ()
-    observations = _read_observations(args.observations, cross)
+    observations = costmodel.load_observations(
+        args.observations, parse_layer_list(args.cross_layers)
+    )
     cp = costmodel.calibrate(
         observations, net, batch=args.batch, epochs=args.epochs,
         dataset_size=args.dataset_size,
@@ -285,15 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_err.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as err:
+    except (ParconvError, OSError) as err:
         print(f"parconv {args.command}: {err}", file=sys.stderr)
-        return 1
-    except ParconvError as err:
-        print(f"parconv {args.command}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"parconv {args.command}: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, ValidationError) else 2
 
 
 if __name__ == "__main__":

@@ -31,11 +31,16 @@ from pathlib import Path
 from scipy.optimize import minimize
 
 from .errors import CalibrationError, InfeasiblePlanError, ValidationError
-from .netdef import NetworkSpec, shape_report, worker_footprint_bytes
+from .netdef import (
+    DEFAULT_MEMORY,
+    NetworkSpec,
+    config_lines,
+    shape_report,
+    worker_footprint_bytes,
+)
 from .schemes import ParallelPlan, comm_phases, plan_columnized
 
 SECONDS_PER_DAY = 86400.0
-DEFAULT_MEMORY = 6 * 1024**3
 IMAGENET_TRAIN_SIZE = 1_281_167
 
 
@@ -74,13 +79,10 @@ def save_cost_params(cp: CostParams, path) -> None:
 
 def load_cost_params(path) -> CostParams:
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in _COST_KEYS:
-            raise ValidationError(f"cost params line {lineno}: expected '<key> <value>', got {raw!r}")
+            raise ValidationError(f"cost params line {lineno}: expected '<key> <value>', got {line!r}")
         key, text = parts
         try:
             values[key] = int(float(text)) if key == "memory" else float(text)
@@ -92,6 +94,26 @@ def load_cost_params(path) -> CostParams:
     if missing:
         raise ValidationError(f"cost params file missing keys: {', '.join(missing)}")
     return CostParams(**values)
+
+
+def load_observations(
+    path, cross_layers: tuple[int, ...] = ()
+) -> list[tuple[ParallelPlan, float]]:
+    """Observed (plan, days) rows from a `plan_d,plan_m,days` CSV (header optional);
+    plans with m > 1 cross at `cross_layers`."""
+    rows = []
+    for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
+        parts = [p.strip() for p in line.split(",")]
+        if parts[:3] == ["plan_d", "plan_m", "days"]:
+            continue  # header
+        if len(parts) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 'd,m,days', got {line!r}")
+        try:
+            d, m, days = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad numbers in {line!r}") from None
+        rows.append((ParallelPlan(d, m, cross_layers if m > 1 else ()), days))
+    return rows
 
 
 def efficiency(b: float, b_half: float) -> float:

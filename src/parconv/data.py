@@ -26,7 +26,6 @@ class Dataset:
     images: np.ndarray  # (N, C, H, W) float64
     labels: np.ndarray  # (N,) int64 in [0, classes)
     classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
@@ -51,7 +50,7 @@ class Dataset:
 
 def _blob_split(
     classes: int, per_class: int, templates: list[np.ndarray],
-    shape: tuple[int, int, int], seed: int, domain: int, split: str,
+    shape: tuple[int, int, int], seed: int, domain: int,
 ) -> Dataset:
     dim = int(np.prod(shape))
     images = np.empty((classes * per_class, dim), dtype=np.float64)
@@ -63,7 +62,7 @@ def _blob_split(
         labels[k * per_class : (k + 1) * per_class] = k
     # quantise to the file format's precision so write -> read is the identity
     images = images.astype(np.float32).astype(np.float64)
-    return Dataset(images.reshape(-1, *shape), labels, classes, split)
+    return Dataset(images.reshape(-1, *shape), labels, classes)
 
 
 def gen_synthetic(
@@ -91,8 +90,8 @@ def gen_synthetic(
         rng.derive(seed, rng.DOMAIN_TEMPLATE, k).uniform_array(dim, -1.0, 1.0)
         for k in range(classes)
     ]
-    train = _blob_split(classes, per_class, templates, shape, seed, rng.DOMAIN_TRAIN, "train")
-    test = _blob_split(classes, test_per_class, templates, shape, seed, rng.DOMAIN_TEST, "test")
+    train = _blob_split(classes, per_class, templates, shape, seed, rng.DOMAIN_TRAIN)
+    test = _blob_split(classes, test_per_class, templates, shape, seed, rng.DOMAIN_TEST)
     return train, test
 
 
@@ -105,7 +104,7 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write(ds.labels.astype("<u4").tobytes())
 
 
-def load_dataset(path, split: str = "train") -> Dataset:
+def load_dataset(path) -> Dataset:
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:4] != MAGIC:
         raise DatasetError(f"{path}: not a PSDS dataset file")
@@ -122,4 +121,4 @@ def load_dataset(path, split: str = "train") -> Dataset:
     labels = np.frombuffer(body[image_bytes:], dtype="<u4").astype(np.int64)
     if labels.size and labels.max() >= k:
         raise DatasetError(f"{path}: label {int(labels.max())} out of range for {k} classes")
-    return Dataset(images.reshape(n, c, h, w), labels, int(k), split)
+    return Dataset(images.reshape(n, c, h, w), labels, int(k))

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DeadlockError, ParconvError, ValidationError
-from .netdef import WIRE_ELEMENT_SIZE
+from .netdef import DEFAULT_MEMORY, WIRE_ELEMENT_SIZE
 
 
 @dataclass
 class DeviceSpec:
     """Per-device capacity and the accounted bytes per scalar."""
 
-    memory_capacity: int = 6 * 1024**3
+    memory_capacity: int = DEFAULT_MEMORY
     wire_element_size = WIRE_ELEMENT_SIZE  # a class constant, not a field
 
     def __post_init__(self):
@@ -135,38 +135,41 @@ class Worker:
             return fab._channels[key].popleft()
 
     # -- collectives (built on send/recv) ------------------------------------
-    def reduce_to_root(self, group, root: int, value: np.ndarray, tag="reduce") -> np.ndarray | None:
+    def reduce_to_root(self, group, root: int, value: np.ndarray) -> np.ndarray | None:
         """Root returns the elementwise sum, accumulated in ascending worker order."""
         members = sorted(group)
         if self.wid != root:
-            self.send(root, tag, value)
+            self.send(root, "reduce", value)
             return None
         acc: np.ndarray | None = None
         for w in members:
-            t = value if w == self.wid else self.recv(w, tag)
+            t = value if w == self.wid else self.recv(w, "reduce")
             acc = np.array(t, dtype=np.float64, copy=True) if acc is None else acc + t
         return acc
 
-    def broadcast_from_root(self, group, root: int, value: np.ndarray | None, tag="bcast") -> np.ndarray:
+    def broadcast_from_root(self, group, root: int, value: np.ndarray | None) -> np.ndarray:
         if self.wid == root:
             assert value is not None
             for w in sorted(group):
                 if w != root:
-                    self.send(w, tag, value)
+                    self.send(w, "bcast", value)
             return value
-        return self.recv(root, tag)
+        return self.recv(root, "bcast")
 
     # -- memory accounting ----------------------------------------------------
     def alloc(self, elements: int) -> int:
-        nbytes = int(elements) * self.fabric.device.wire_element_size
-        self.fabric.meter.alloc(self.wid, nbytes)
+        """Account `elements` resident scalars; returns their bytes. Raises
+        CapacityError, accounting nothing, when they do not fit the device."""
+        fab = self.fabric
+        nbytes = int(elements) * fab.device.wire_element_size
+        resident = fab.meter.current[self.wid] + nbytes
+        if resident > fab.device.memory_capacity:
+            raise CapacityError(self.wid, resident, fab.device.memory_capacity)
+        fab.meter.alloc(self.wid, nbytes)
         return nbytes
 
     def free_bytes(self, nbytes: int) -> None:
         self.fabric.meter.free(self.wid, nbytes)
-
-    def assert_capacity(self) -> None:
-        self.fabric.meter_assert(self.wid)
 
 
 class Fabric:
@@ -193,11 +196,6 @@ class Fabric:
     @property
     def num_links(self) -> int:
         return self.n * (self.n - 1)
-
-    def meter_assert(self, wid: int) -> None:
-        resident = self.meter.current[wid]
-        if resident > self.device.memory_capacity:
-            raise CapacityError(wid, resident, self.device.memory_capacity)
 
     # -- scheduling internals (called with self._cond held) -------------------
     def _runnable(self, wid: int) -> bool:

@@ -7,7 +7,7 @@ precision in the SVG, and no timestamps or environment details are written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 CSV_COLUMNS = (
@@ -22,7 +22,7 @@ CSV_COLUMNS = (
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a8f5d", "#8b5fbf", "#c98a1e", "#3b3b3b")
 
-X_AXES = {"updates": "weight updates", "sim_time": "simulated seconds", "wall_time": "wall seconds"}
+X_AXES = {"updates": "weight updates", "sim_time": "simulated seconds"}
 Y_FIELDS = {"train_loss": "training loss", "test_error": "test error rate"}
 
 
@@ -37,9 +37,6 @@ class MetricsRecord:
     sim_seconds: float
     wall_seconds: float
     ledger_bytes: int
-
-    def with_test_error(self, err: float) -> "MetricsRecord":
-        return replace(self, test_error=err)
 
 
 def emit_csv(records, path) -> None:
@@ -82,39 +79,24 @@ def read_csv(path) -> list[MetricsRecord]:
     return out
 
 
-def _x_value(r: MetricsRecord, x_axis: str) -> float:
-    if x_axis == "updates":
-        return float(r.update)
-    if x_axis == "sim_time":
-        return r.sim_seconds
-    if x_axis == "wall_time":
-        return r.wall_seconds
-    raise ValueError(f"unknown x axis {x_axis!r} (choose from {sorted(X_AXES)})")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
 def emit_svg(series, x_axis: str, path, y_field: str = "train_loss") -> None:
     """Self-contained line chart; one polyline per input series.
 
-    `series` is either a list of MetricsRecord (single line) or a dict
-    mapping label -> record list. Records without the requested y value
+    `series` maps label -> record list. Records without the requested y value
     (e.g. test_error between evaluations) are skipped.
     """
     if x_axis not in X_AXES:
         raise ValueError(f"unknown x axis {x_axis!r} (choose from {sorted(X_AXES)})")
     if y_field not in Y_FIELDS:
         raise ValueError(f"unknown y field {y_field!r} (choose from {sorted(Y_FIELDS)})")
-    if not isinstance(series, dict):
-        series = {"run": series}
 
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 30, 55
@@ -127,7 +109,8 @@ def emit_svg(series, x_axis: str, path, y_field: str = "train_loss") -> None:
             y = getattr(r, y_field)
             if y is None:
                 continue
-            pts.append((_x_value(r, x_axis), float(y)))
+            x = float(r.update) if x_axis == "updates" else r.sim_seconds
+            pts.append((x, float(y)))
         points[label] = pts
 
     xs = [p[0] for pts in points.values() for p in pts]

@@ -27,6 +27,7 @@ NetworkSpec runs it with m = 1, which is the dense network.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,6 +35,7 @@ from .errors import PartitionError, ValidationError
 from .kernels import conv_output_size
 
 WIRE_ELEMENT_SIZE = 4  # bytes per stored/transmitted scalar (models fp32 devices)
+DEFAULT_MEMORY = 6 * 1024**3  # bytes of device memory when none is given
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +113,20 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
+def config_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each non-blank line of a text
+    input, with '#' and everything after it removed: the comment rule of every
+    config format (networks, plans, cost params, observations)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_network(text: str, name: str = "net") -> NetworkSpec:
     """Parse the line-oriented network format.
 
-    One declaration per line, '#' starts a comment:
+    One declaration per line (see config_lines for comments):
         input C H W
         conv N k stride pad
         relu
@@ -124,10 +136,7 @@ def parse_network(text: str, name: str = "net") -> NetworkSpec:
     """
     input_shape: tuple[int, int, int] | None = None
     layers: list[LayerSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in config_lines(text):
         tokens = line.split()
         keyword, args = tokens[0].lower(), tokens[1:]
         try:

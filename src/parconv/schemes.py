@@ -55,6 +55,7 @@ from .netdef import (
     ReLU,
     SoftmaxXent,
     columnize,
+    config_lines,
 )
 
 ParamSet = dict[int, dict[str, np.ndarray]]  # layer index -> {"w": ..., "b": ...}
@@ -98,29 +99,27 @@ class ParallelPlan:
         return f"d{self.data_shards}xm{self.model_columns}"
 
 
+def parse_layer_list(text: str) -> tuple[int, ...]:
+    """Layer indices from a comma- or space-separated list such as '3,6,8'."""
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise ValidationError(f"bad layer list {text!r}: expected integers like '3,6,8'") from None
+
+
 def parse_plan(text: str) -> ParallelPlan:
     """Plan file format: `data_shards <d>`, `model_columns <m>`, `cross_layers <i,j,...>`."""
-    d, m = 1, 1
-    cross: tuple[int, ...] = ()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split(None, 1)
-        key = tokens[0].lower()
-        value = tokens[1].strip() if len(tokens) > 1 else ""
+    fields = {"data_shards": 1, "model_columns": 1, "cross_layers": ()}
+    for lineno, line in config_lines(text):
+        key, *value = line.split(None, 1)
+        key, value = key.lower(), "".join(value)
+        if key not in fields:
+            raise ValidationError(f"line {lineno}: unknown plan key {key!r}")
         try:
-            if key == "data_shards":
-                d = int(value)
-            elif key == "model_columns":
-                m = int(value)
-            elif key == "cross_layers":
-                cross = tuple(int(t) for t in value.replace(",", " ").split()) if value else ()
-            else:
-                raise ValidationError(f"line {lineno}: unknown plan key {key!r}")
-        except ValueError:
+            fields[key] = parse_layer_list(value) if key == "cross_layers" else int(value)
+        except (ValueError, ValidationError):
             raise ValidationError(f"line {lineno}: bad integer in {line!r}") from None
-    return ParallelPlan(d, m, cross)
+    return ParallelPlan(**fields)
 
 
 def load_plan(path) -> ParallelPlan:
@@ -135,29 +134,24 @@ def plan_columnized(net: NetworkSpec, plan: ParallelPlan) -> ColumnizedSpec:
 # Parameters: dense init, column split, merge back
 # ---------------------------------------------------------------------------
 
-def init_dense_params(net: NetworkSpec, seed: int, std: float | None = None) -> ParamSet:
+def init_dense_params(net: NetworkSpec, seed: int) -> ParamSet:
     """Gaussian weights and zero biases, drawn layer by layer from the seed's
     init substream in the dense layout, so every plan starts from the same
     underlying network.
 
-    By default each layer's std is fan-in scaled (sqrt(2 / fan_in)); a flat
-    Gaussian scale can be forced with `std`. Desk-sized layers have fan-ins
-    far below ImageNet-scale ones, where a flat 0.01 leaves gradients too
-    small to train in a handful of epochs.
+    Each layer's std is fan-in scaled (sqrt(2 / fan_in)). Desk-sized layers
+    have fan-ins far below ImageNet-scale ones, where a flat 0.01 leaves
+    gradients too small to train in a handful of epochs.
     """
     stream = rng.derive(seed, rng.DOMAIN_INIT)
     dense = columnize(net, 1)
     params: ParamSet = {}
     for cl in dense.param_layers():
-        if std is None:
-            if isinstance(cl.layer, Conv):
-                fan_in = cl.in_shape[0] * cl.layer.kernel * cl.layer.kernel
-            else:
-                fan_in = cl.weight_shape[0]
-            scale = math.sqrt(2.0 / fan_in)
+        if isinstance(cl.layer, Conv):
+            fan_in = cl.in_shape[0] * cl.layer.kernel * cl.layer.kernel
         else:
-            scale = std
-        w = stream.gauss_array(cl.weight_shape, std=scale)
+            fan_in = cl.weight_shape[0]
+        w = stream.gauss_array(cl.weight_shape, std=math.sqrt(2.0 / fan_in))
         b = np.zeros(cl.bias_shape, dtype=np.float64)
         params[cl.index] = {"w": w, "b": b}
     return params
@@ -372,7 +366,6 @@ def column_fwd_bwd(
         logits, caches, kept = column_forward(cs, params, x, exchange)
         if meter_ctx is not None:
             accounted = meter_ctx.alloc(sum(kept))
-            meter_ctx.assert_capacity()
         loss, g = softmax_xent_scaled(logits, labels, loss_scale)
         grads: ParamSet = {}
         for pos in range(len(cs.col_layers) - 1, -1, -1):
@@ -486,16 +479,12 @@ def setup_workers(
         state = ctx.local
         ctx.free_bytes(state.get("accounted", 0))  # a previous set-up's vectors
         state.clear()
+        # accounted first: a set-up that does not fit leaves the worker empty
+        accounted = ctx.alloc(flat.size * (1 if velocity is None else 2))
         replica, column = divmod(ctx.wid, m)
-        state["replica"] = replica
-        state["column"] = column
-        state["cs"] = cs
-        state["params"] = flat
-        state["layers"] = unpack_tree(flat, cs)
-        state["sgd"] = sgd
-        state["velocity"] = velocity
-        state["accounted"] = ctx.alloc(flat.size * (1 if velocity is None else 2))
-        ctx.assert_capacity()
+        state.update(replica=replica, column=column, cs=cs, params=flat,
+                     layers=unpack_tree(flat, cs), sgd=sgd, velocity=velocity,
+                     accounted=accounted)
 
     fabric.run(program, args)
 

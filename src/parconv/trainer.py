@@ -20,13 +20,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .costmodel import DEFAULT_MEMORY, CostParams, step_time
+from .costmodel import CostParams, step_time
 from .data import Dataset, gen_synthetic
 from .errors import InfeasiblePlanError, ValidationError
 from .fabric import DeviceSpec, Fabric, spawn
 from .kernels import SgdState
 from .metrics import MetricsRecord
-from .netdef import NetworkSpec, columnize, worker_footprint_bytes
+from .netdef import DEFAULT_MEMORY, NetworkSpec, columnize, worker_footprint_bytes
 from .schemes import (
     ParallelPlan,
     ParamSet,
@@ -42,7 +42,10 @@ from .schemes import (
 
 
 def _check_split(net: NetworkSpec, data: Dataset, split: str) -> None:
-    """Raise unless the split's class count and sample shape fit the network."""
+    """Raise unless the split is non-empty and its class count and sample shape
+    fit the network."""
+    if data.size < 1:
+        raise ValidationError(f"{split} split is empty")
     if data.classes != net.classes:
         raise ValidationError(
             f"{split} split has {data.classes} classes but the network head expects {net.classes}"
@@ -155,7 +158,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         )
         if cfg.test_data is not None and update % steps_per_epoch == 0:  # the epoch's last update
             err = _fabric_error_rate(fabric, plan, cs, cfg.test_data, eval_batch=shard)
-            records[-1] = records[-1].with_test_error(err)
+            records[-1] = replace(records[-1], test_error=err)
 
     try:
         final = gather_dense_params(fabric, plan, cs)
@@ -167,8 +170,6 @@ def train(cfg: TrainConfig) -> TrainResult:
 def _fabric_error_rate(
     fabric: Fabric, plan: ParallelPlan, cs, test: Dataset, eval_batch: int
 ) -> float:
-    if test.size < 1:
-        raise ValidationError("cannot evaluate on an empty test split")
     wrong = 0
     for lo in range(0, test.size, eval_batch):
         hi = min(lo + eval_batch, test.size)
@@ -181,8 +182,6 @@ def evaluate(net: NetworkSpec, params: ParamSet, test: Dataset) -> float:
 
     Argmax ties break to the lowest class index, matching np.argmax.
     """
-    if test.size < 1:
-        raise ValidationError("cannot evaluate on an empty test split")
     _check_split(net, test, "test")
     cs = columnize(net, 1)
     wrong = 0

@@ -188,6 +188,41 @@ def test_estimate_malformed_cost_number_exit_1(tmp_path, cost_file, capsys, bad,
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "plan, run, message",
+    [
+        ("plan_d1m1.plan", ["--batch", "8", "--epochs", "-1", "--dataset-size", "0"],
+         "epochs must be >= 0"),
+        ("plan_d2m1.plan", ["--batch", "7", "--epochs", "1", "--dataset-size", "64"],
+         "batch size 7 not divisible by 2 data shards"),
+    ],
+)
+def test_estimate_bad_inputs_exit_1_without_rows(cost_file, capsys, plan, run, message):
+    code = main([
+        "estimate", "--net", str(CONFIGS / "tinynet.net"), "--plan", str(CONFIGS / plan),
+        "--cost", str(cost_file), *run,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_estimate_memory_infeasible_row_exit_0(tmp_path, capsys):
+    small = tmp_path / "small.cost"
+    save_cost_params(
+        CostParams(throughput=1e9, bandwidth=1e9, latency=1e-4, b_half=4.0, memory=1000), small
+    )
+    code = main([
+        "estimate", "--net", str(CONFIGS / "tinynet.net"),
+        "--plan", f"{CONFIGS / 'plan_d1m1.plan'},{CONFIGS / 'plan_d2m1.plan'}",
+        "--batch", "8", "--cost", str(small), "--epochs", "1", "--dataset-size", "64",
+    ])
+    assert code == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "infeasible" in line]
+    assert len(rows) == 2 and "capacity is 1000 B" in rows[0]
+
+
 def test_estimate_missing_cost_file_exit_2(capsys):
     code = main([
         "estimate", "--net", str(CONFIGS / "tinynet.net"),
@@ -209,14 +244,37 @@ def test_calibrate_cli_reproduces_table1(tmp_path, capsys):
     text = capsys.readouterr().out
     assert out.exists()
     assert "speedup" in text
-    # rerun is byte-identical
+    # rerun is byte-identical, also with blank lines and '#' comments in the table
     first = out.read_bytes()
+    commented = tmp_path / "table1_commented.csv"
+    rows = (CONFIGS / "table1.csv").read_text().splitlines()
+    commented.write_text("# Table 1\n\n" + "  # row\n".join(rows) + "\n")
     assert main([
         "calibrate", "--net", str(CONFIGS / "alexnet.net"),
-        "--observations", str(CONFIGS / "table1.csv"),
+        "--observations", str(commented),
         "--cross-layers", "3,6,8,10", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == first
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "cross, table, named",
+    [
+        ("3,x", "1,1,10.5\n1,2,6.6\n2,1,7.0\n4,1,7.2\n", "'3,x'"),
+        ("3", "# obs\n1,1,10.5\n\n1,2,six # bad\n", ":4: bad numbers in '1,2,six'"),
+    ],
+)
+def test_calibrate_bad_inputs_exit_1(tmp_path, capsys, cross, table, named):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(table)
+    code = main([
+        "calibrate", "--net", str(CONFIGS / "alexnet.net"), "--observations", str(obs),
+        "--cross-layers", cross, "--out", str(tmp_path / "fitted.cost"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_estimate_reproduces_table1_within_10_percent(tmp_path, capsys):

@@ -217,6 +217,12 @@ def test_cost_params_file_validation(tmp_path):
     path.write_text("throughput 1e12 extra\n")
     with pytest.raises(ValidationError):
         load_cost_params(path)
+    good = "# desk\n\nthroughput 1e12  # F\nbandwidth 1e9\nlatency 0.001\nb_half 4\nmemory 1024\n"
+    path.write_text(good)
+    assert load_cost_params(path) == CostParams(1e12, 1e9, 0.001, 4.0, 1024)
+    path.write_text(good.replace("bandwidth 1e9", "bandwidth fast # bad"))
+    with pytest.raises(ValidationError, match="cost params line 4: bandwidth"):
+        load_cost_params(path)
 
 
 def test_cost_params_validation():

@@ -415,9 +415,7 @@ def test_meter_tracks_peak_and_capacity():
 
     def program(ctx):
         ctx.alloc(10)  # 40 bytes
-        ctx.assert_capacity()
         ctx.alloc(15)  # +60 -> exactly 100: inclusive bound is fine
-        ctx.assert_capacity()
         ctx.free_bytes(60)
         return None
 
@@ -427,18 +425,18 @@ def test_meter_tracks_peak_and_capacity():
 
 
 def test_meter_capacity_breach_names_worker_and_overshoot():
-    fab = spawn(2, device=DeviceSpec(memory_capacity=1))
-
     def program(ctx):
         if ctx.wid == 1:
             ctx.alloc(10)
-            ctx.assert_capacity()
 
-    with pytest.raises(CapacityError) as info:
-        fab.run(program)
-    assert info.value.worker == 1
-    assert info.value.resident == 40
-    assert "overshoot 39" in str(info.value)
+    for sched in ("lockstep", "threads"):
+        fab = spawn(2, device=DeviceSpec(memory_capacity=1), scheduling=sched)
+        with pytest.raises(CapacityError) as info:
+            fab.run(program)
+        assert info.value.worker == 1
+        assert info.value.resident == 40
+        assert "overshoot 39" in str(info.value)
+        assert fab.meter.current == [0, 0]  # the refused alloc accounted nothing
 
 
 def test_device_spec_validation():

@@ -68,7 +68,7 @@ def test_svg_multi_series_overlay(tmp_path):
 def test_svg_skips_missing_y_values(tmp_path):
     records = [record(1), record(2, test_error=0.5), record(3), record(4, test_error=0.25)]
     path = tmp_path / "err.svg"
-    emit_svg(records, "updates", path, y_field="test_error")
+    emit_svg({"run": records}, "updates", path, y_field="test_error")
     text = path.read_text()
     assert text.count(",") >= 1
     assert text.count("<polyline") == 1

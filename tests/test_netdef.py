@@ -69,6 +69,9 @@ def test_unknown_keyword_and_arity_errors():
         parse_network("input 1 4 4\nconv 4 3\n")
     with pytest.raises(ValidationError, match="must come first"):
         parse_network("conv 4 3 1 1\ninput 1 4 4\n")
+    # blank and comment lines still count toward the 1-based line number
+    with pytest.raises(ValidationError, match="line 4: unknown layer keyword"):
+        parse_network("# net\ninput 1 4 4  # in\n\navgpool 2 2  # bad\n")
 
 
 def test_shape_mismatch_names_layer_index():

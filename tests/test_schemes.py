@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parconv.errors import ValidationError
-from parconv.fabric import spawn
+from parconv.errors import CapacityError, ValidationError
+from parconv.fabric import DeviceSpec, spawn
 from parconv.kernels import SgdState
 from parconv.netdef import columnize, load_network, parse_network
 from parconv.schemes import (
@@ -72,6 +72,8 @@ def test_parse_plan():
     assert plan == ParallelPlan(2, 2, (3,))
     assert plan.workers == 4
     assert plan.worker_of(1, 0) == 2
+    commented = "# hybrid\n\ndata_shards 2  # replicas\nmodel_columns\t2\ncross_layers 3, 6 # x\n"
+    assert parse_plan(commented) == ParallelPlan(2, 2, (3, 6))
 
 
 def test_parse_plan_defaults_and_errors():
@@ -80,6 +82,10 @@ def test_parse_plan_defaults_and_errors():
         parse_plan("data_shards x\n")
     with pytest.raises(ValidationError):
         parse_plan("gpus 4\n")
+    with pytest.raises(ValidationError, match=r"line 3: bad integer in 'cross_layers 3,x'"):
+        parse_plan("# plan\n\ncross_layers 3,x  # bad\n")
+    with pytest.raises(ValidationError, match="line 2: unknown plan key 'gpus'"):
+        parse_plan("\ngpus 4 # bad\n")
     with pytest.raises(ValidationError):
         ParallelPlan(0, 1)
 
@@ -135,9 +141,6 @@ def test_init_is_seed_deterministic_and_scaled():
     w = a[0]["w"]
     assert abs(float(np.std(w)) - (2.0 / 27) ** 0.5) < 0.05
     assert not a[0]["b"].any()
-    # a flat scale can be forced
-    flat = init_dense_params(TINY, 3, std=0.01)
-    assert abs(float(np.std(flat[5]["w"])) - 0.01) < 0.002
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,21 @@ def test_workers_never_set_up_are_named(call):
     x, y = make_batch(TINY, 4)
     with pytest.raises(ValidationError, match="worker 0 has no parameters; run setup_workers"):
         call(spawn(1), plan, plan_columnized(TINY, plan), x, y)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@ENTRY_POINTS
+def test_failed_setup_leaves_workers_empty(call, sched):
+    """A set-up that does not fit accounts nothing and stores nothing."""
+    plan = ParallelPlan(1, 1)
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(1, device=DeviceSpec(memory_capacity=1000), scheduling=sched)
+    with pytest.raises(CapacityError):
+        setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    assert fab.meter.current == [0]
+    x, y = make_batch(TINY, 4)
+    with pytest.raises(ValidationError, match="run setup_workers first"):
+        call(fab, plan, cs, x, y)
 
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])

@@ -62,6 +62,10 @@ def test_config_validation(blobs10):
     small = Dataset(train_data.images[:4], train_data.labels[:4], 10)
     with pytest.raises(ValidationError, match="samples"):
         config(small, batch=8)
+    # an empty test split fails before anything is spawned or trained
+    empty = Dataset(test_data.images[:0], test_data.labels[:0], 10)
+    with pytest.raises(ValidationError, match="test split is empty"):
+        config(train_data, empty)
 
 
 def test_test_split_sample_shape_rejected_up_front(blobs10):
