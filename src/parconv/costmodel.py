@@ -195,6 +195,15 @@ def step_time(plan: ParallelPlan, net: NetworkSpec, batch: int, cp: CostParams) 
     return StepTime(compute_seconds=compute, comm_seconds=comm)
 
 
+def steps_per_epoch(dataset_size: int, batch: int) -> int:
+    """Updates in one epoch: full batches only, the remainder is dropped (as train does)."""
+    if dataset_size < batch:
+        raise ValidationError(
+            f"dataset too small for one batch: {dataset_size} samples, batch {batch}"
+        )
+    return dataset_size // batch
+
+
 def predict_total(
     plan: ParallelPlan,
     net: NetworkSpec,
@@ -203,14 +212,12 @@ def predict_total(
     dataset_size: int,
     cp: CostParams,
 ) -> TimePrediction:
-    if epochs < 0 or dataset_size < 1:
-        raise ValidationError("epochs must be >= 0 and dataset size >= 1")
-    st = step_time(plan, net, batch, cp)
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+    plan.shard(batch)  # a valid batch, checked before the dataset and the memory
+    steps = steps_per_epoch(dataset_size, batch)
     return TimePrediction(
-        plan=plan,
-        step=st,
-        steps_per_epoch=math.ceil(dataset_size / batch),
-        epochs=epochs,
+        plan=plan, step=step_time(plan, net, batch, cp), steps_per_epoch=steps, epochs=epochs
     )
 
 
@@ -261,7 +268,7 @@ def calibrate(
             )
         plan_costs.append(pc)
         targets.append(days)
-    steps_total = math.ceil(dataset_size / batch) * epochs
+    steps_total = steps_per_epoch(dataset_size, batch) * epochs
     log_targets = [math.log(t) for t in targets]
 
     def objective(f: float, w: float, l: float, bh: float) -> float:

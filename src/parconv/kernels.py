@@ -7,9 +7,20 @@ Windows are square (conv weights are (N, C, k, k)). One read-only strided
 view, _windows, serves conv (im2col is one contiguous copy of it) and
 max-pooling; conv_output_size is the one check that a window tiles its input.
 
-All reductions go through np.einsum with optimize=False, which never
-dispatches to a threaded BLAS: results are bit-identical no matter which
-thread runs them, which the fabric's determinism contract relies on.
+Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
+Puri & Simard, "High Performance Convolutional Neural Networks for Document
+Processing" (2006). The columns are laid out (B, C*k*k, H'*W'), so the conv
+forward is one matmul per sample, and the gradient with respect to the columns
+comes out as (B, C, k, k, H', W'): each of col2im's k*k adds reads a
+contiguous slice.
+
+Importing this module pins numpy's OpenBLAS to one thread, through the
+`scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
+fabric's workers are the parallelism, and a single-threaded GEMM gives
+bit-identical results whichever worker thread runs it, which the fabric's
+determinism contract relies on. BLAS_THREADS records the outcome: the thread
+count read back after pinning, or None when the symbol is absent and BLAS was
+left as it was.
 
 Everything here is a pure function of its arguments, except sgd_step, which
 updates the parameter and velocity it is given in place; nothing retains state.
@@ -17,6 +28,7 @@ updates the parameter and velocity it is given in place; nothing retains state.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -24,7 +36,30 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 FLOAT = np.float64
+
+
+def _pin_blas() -> int | None:
+    """Set numpy's OpenBLAS to one thread; the thread count after, or None if
+    numpy's extension module does not link the scipy-openblas64 setter."""
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        setter = lib.scipy_openblas_set_num_threads64_
+        getter = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter(1)
+    return getter()
+
+
+BLAS_THREADS = _pin_blas()
 
 
 def _require(cond: bool, message: str) -> None:
@@ -83,8 +118,20 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Patches of x as a contiguous (B, H', W', C, k, k) array."""
-    return np.ascontiguousarray(_windows(x, k, stride, pad).transpose(0, 2, 3, 1, 4, 5))
+    """Patches of x as a contiguous (B, C, k, k, H', W') array."""
+    return np.ascontiguousarray(_windows(x, k, stride, pad).transpose(0, 1, 4, 5, 2, 3))
+
+
+def _col2im(cols: np.ndarray, size: tuple[int, int], stride: int, pad: int) -> np.ndarray:
+    """Adjoint of _im2col: adds every (B, C, k, k, H', W') entry back onto the
+    (B, C, H, W) input pixel it was copied from; size is (H, W)."""
+    b, c, k, _, ho, wo = cols.shape
+    h, w = size
+    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=FLOAT)
+    for i, j in np.ndindex(k, k):
+        ys, xs = slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)
+        out[:, :, ys, xs] += cols[:, :, i, j]
+    return np.ascontiguousarray(out[:, :, pad : pad + h, pad : pad + w])
 
 
 def conv2d_forward(
@@ -95,36 +142,41 @@ def conv2d_forward(
     n = w.shape[0]
     _require(b.shape == (n,), f"conv bias shape {b.shape} does not match {n} output channels")
     cols = _im2col(x, w.shape[2], stride, pad)
-    _, ho, wo = cols.shape[:3]
-    out = np.einsum("bpk,nk->bnp", cols.reshape(x.shape[0], ho * wo, -1), w.reshape(n, -1))
+    batch, ho, wo = x.shape[0], *cols.shape[4:]
+    out = np.matmul(w.reshape(n, -1), cols.reshape(batch, -1, ho * wo))
     out += b[None, :, None]
-    return np.ascontiguousarray(out.reshape(x.shape[0], n, ho, wo))
+    return out.reshape(batch, n, ho, wo)
 
 
 def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias."""
+    x: np.ndarray,
+    w: np.ndarray,
+    grad_out: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias.
+
+    With input_grad=False the input gradient is not computed and comes back
+    as None; the weight and bias gradients are the same either way.
+    """
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
     cols = _im2col(x, k, stride, pad)
-    b, ho, wo = cols.shape[:3]
+    b, ho, wo = x.shape[0], *cols.shape[4:]
     _require(
         grad_out.shape == (b, n, ho, wo),
         f"conv grad_out shape {grad_out.shape} does not match forward output {(b, n, ho, wo)}",
     )
     go = grad_out.reshape(b, n, ho * wo)
-    grad_bias = np.einsum("bnp->n", go)
-    grad_w = np.einsum("bnp,bpk->nk", go, cols.reshape(b, ho * wo, -1)).reshape(w.shape)
-    grad_cols = np.einsum("bnp,nk->bpk", go, w.reshape(n, -1)).reshape(b, ho, wo, c, k, k)
-
-    # col2im: add each window offset's gradient back onto the padded input
-    h, wd = x.shape[2:]
-    grad_x = np.zeros((b, c, h + 2 * pad, wd + 2 * pad), dtype=FLOAT)
-    for i, j in np.ndindex(k, k):
-        ys, xs = slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)
-        grad_x[:, :, ys, xs] += grad_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(grad_x[:, :, pad : pad + h, pad : pad + wd]), grad_w, grad_bias
+    grad_bias = go.sum(axis=(0, 2))
+    grad_w = np.matmul(go, cols.reshape(b, -1, ho * wo).transpose(0, 2, 1)).sum(axis=0)
+    grad_w = grad_w.reshape(w.shape)
+    if not input_grad:
+        return None, grad_w, grad_bias
+    grad_cols = np.matmul(w.reshape(n, -1).T, go).reshape(b, c, k, k, ho, wo)
+    return _col2im(grad_cols, x.shape[2:], stride, pad), grad_w, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +192,7 @@ def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarr
         f"fc inner dimensions disagree: input {x.shape} vs weights {weights.shape}",
     )
     _require(bias.shape == (weights.shape[1],), f"fc bias shape {bias.shape} invalid")
-    return np.einsum("bd,du->bu", x, weights) + bias[None, :]
+    return x @ weights + bias
 
 
 def fc_backward(
@@ -151,10 +203,7 @@ def fc_backward(
         f"fc grad_out shape {grad_out.shape} does not match output "
         f"{(x.shape[0], weights.shape[1])}",
     )
-    grad_x = np.einsum("bu,du->bd", grad_out, weights)
-    grad_w = np.einsum("bd,bu->du", x, grad_out)
-    grad_b = np.einsum("bu->u", grad_out)
-    return grad_x, grad_w, grad_b
+    return grad_out @ weights.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,10 @@ def column_fwd_bwd(
             if isinstance(layer, SoftmaxXent):
                 g_in = g.reshape(a.shape)
             elif isinstance(layer, Conv):
-                g_in, gw, gb = conv2d_backward(a, params[cl.index]["w"], g, layer.stride, layer.pad)
+                # the first layer's input gradient (w.r.t. the image) is never used
+                g_in, gw, gb = conv2d_backward(
+                    a, params[cl.index]["w"], g, layer.stride, layer.pad, input_grad=pos > 0
+                )
                 grads[cl.index] = {"w": gw, "b": gb}
             elif isinstance(layer, FC):
                 g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), params[cl.index]["w"], g)

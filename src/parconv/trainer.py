@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .costmodel import CostParams, step_time
+from .costmodel import CostParams, step_time, steps_per_epoch
 from .data import Dataset, gen_synthetic
 from .errors import InfeasiblePlanError, ValidationError
 from .fabric import DeviceSpec, Fabric, spawn
@@ -58,9 +58,7 @@ def _check_split(net: NetworkSpec, data: Dataset, split: str) -> None:
 
 def _batches(seed: int, n: int, batch: int) -> Iterator[tuple[int, np.ndarray]]:
     """The batch schedule: endless (epoch, sample indices) pairs, epoch after epoch."""
-    per_epoch = n // batch
-    if per_epoch < 1:
-        raise ValidationError("dataset too small for one batch")
+    per_epoch = steps_per_epoch(n, batch)
     for epoch in itertools.count():
         order = rng.permutation(seed, epoch, n)
         for step in range(per_epoch):
@@ -89,10 +87,7 @@ class TrainConfig:
         _check_split(self.net, self.train_data, "training")
         if self.test_data is not None:
             _check_split(self.net, self.test_data, "test")
-        if self.train_data.size < self.batch:
-            raise ValidationError(
-                f"training split has {self.train_data.size} samples, need >= {self.batch}"
-            )
+        steps_per_epoch(self.train_data.size, self.batch)
 
     @property
     def device_capacity(self) -> int:
@@ -135,9 +130,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     dense = init_dense_params(cfg.net, cfg.seed)
     setup_workers(fabric, plan, cs, dense, cfg.sgd)
 
-    steps_per_epoch = cfg.train_data.size // cfg.batch
+    per_epoch = steps_per_epoch(cfg.train_data.size, cfg.batch)
     schedule = itertools.islice(
-        _batches(cfg.seed, cfg.train_data.size, cfg.batch), cfg.epochs * steps_per_epoch
+        _batches(cfg.seed, cfg.train_data.size, cfg.batch), cfg.epochs * per_epoch
     )
     records: list[MetricsRecord] = []
     wall_start = time.perf_counter()
@@ -156,7 +151,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 ledger_bytes=fabric.ledger.total_bytes,
             )
         )
-        if cfg.test_data is not None and update % steps_per_epoch == 0:  # the epoch's last update
+        if cfg.test_data is not None and update % per_epoch == 0:  # the epoch's last update
             err = _fabric_error_rate(fabric, plan, cs, cfg.test_data, eval_batch=shard)
             records[-1] = replace(records[-1], test_error=err)
 

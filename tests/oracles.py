@@ -46,6 +46,20 @@ def naive_conv2d(x, weights, bias, stride, pad, macs: MacCounter | None = None):
     return out
 
 
+def naive_col2im(cols, size, stride, pad):
+    """Scatter each (b, c, i, j, y, x) patch entry onto input pixel
+    (y*stride + i - pad, x*stride + j - pad), dropping the padding."""
+    b, c, kh, kw, ho, wo = cols.shape
+    h, w = size
+    out = np.zeros((b, c, h, w))
+    for bi, ci, i, j, y, xo in np.ndindex(b, c, kh, kw, ho, wo):
+        yy = y * stride + i - pad
+        xx = xo * stride + j - pad
+        if 0 <= yy < h and 0 <= xx < w:
+            out[bi, ci, yy, xx] += cols[bi, ci, i, j, y, xo]
+    return out
+
+
 def naive_matmul(a, b, macs: MacCounter | None = None):
     """Triple-loop matrix multiply."""
     n, k = a.shape

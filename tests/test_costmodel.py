@@ -12,9 +12,11 @@ from parconv.costmodel import (
     save_cost_params,
     step_time,
 )
+from parconv.data import gen_synthetic
 from parconv.errors import CalibrationError, InfeasiblePlanError, ValidationError
 from parconv.netdef import columnize, load_network, shape_report
 from parconv.schemes import ParallelPlan
+from parconv.trainer import TrainConfig, train
 
 from oracles import CONFIGS
 
@@ -115,6 +117,30 @@ def test_predict_total_epochs():
     ten = predict_total(ParallelPlan(1, 1), TINY, 8, 10, 1000, cp)
     assert abs(ten.total_seconds - 10 * one.total_seconds) < 1e-12
     assert one.steps_per_epoch == math.ceil(1000 / 8)
+
+
+def test_steps_per_epoch_matches_train_updates():
+    """A batch that does not divide the dataset: the remainder is dropped, as train drops it."""
+    cp = CostParams(throughput=1e12, bandwidth=1e9, latency=0.0, b_half=1.0)
+    train_data, _ = gen_synthetic(10, 9, TINY.input_shape, seed=3, test_per_class=1)
+    assert train_data.size == 90
+    pred = predict_total(ParallelPlan(1, 1), TINY, 8, 1, train_data.size, cp)
+    result = train(TrainConfig(net=TINY, plan=ParallelPlan(1, 1), epochs=1, batch=8, seed=0,
+                               train_data=train_data))
+    assert pred.steps_per_epoch == len(result.records) == 11
+    assert pred.epoch_seconds == 11 * pred.step.step_seconds
+
+
+def test_dataset_smaller_than_batch_rejected():
+    cp = CostParams(throughput=1e12, bandwidth=1e9, latency=0.0, b_half=1.0)
+    with pytest.raises(ValidationError, match="dataset too small for one batch"):
+        predict_total(ParallelPlan(1, 1), TINY, 8, 1, 7, cp)
+    # checked before memory: a plan that does not fit still reports the bad dataset
+    tiny_device = CostParams(throughput=1e12, bandwidth=1e9, latency=0.0, b_half=1.0, memory=1024)
+    with pytest.raises(ValidationError, match="dataset too small for one batch"):
+        predict_total(ParallelPlan(1, 1), TINY, 8, 1, 0, tiny_device)
+    with pytest.raises(ValidationError, match="dataset too small for one batch"):
+        calibrate(TABLE1, ALEX, batch=256, dataset_size=255)
 
 
 # ---------------------------------------------------------------------------

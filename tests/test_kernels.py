@@ -1,4 +1,6 @@
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from parconv import kernels
 from parconv.errors import ShapeError, ValidationError
 from parconv.kernels import (
     SgdState,
+    _col2im,
     _windows,
     conv2d_backward,
     conv2d_forward,
@@ -24,7 +28,14 @@ from parconv.kernels import (
     softmax_xent_scaled,
 )
 
-from oracles import central_difference, naive_conv2d, naive_matmul, naive_maxpool, relative_error
+from oracles import (
+    central_difference,
+    naive_col2im,
+    naive_conv2d,
+    naive_matmul,
+    naive_maxpool,
+    relative_error,
+)
 
 R = np.random.RandomState
 
@@ -164,6 +175,62 @@ def test_conv_backward_finite_difference():
     assert relative_error(gx, central_difference(loss, x)) < 1e-4
     assert relative_error(gw, central_difference(loss, w)) < 1e-4
     assert relative_error(gb, central_difference(loss, b)) < 1e-4
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (4, 0)])
+def test_conv_backward_without_input_grad_is_bitwise_the_same(stride, pad):
+    rs = R(4)
+    x = rs.randn(3, 4, 7, 7)
+    w = rs.randn(5, 4, 3, 3)
+    out = conv2d_forward(x, w, rs.randn(5), stride, pad)
+    g = rs.randn(*out.shape)
+    _, gw, gb = conv2d_backward(x, w, g, stride, pad)
+    skipped, gw2, gb2 = conv2d_backward(x, w, g, stride, pad, input_grad=False)
+    assert skipped is None
+    assert gw2.tobytes() == gw.tobytes() and gw2.shape == gw.shape
+    assert gb2.tobytes() == gb.tobytes() and gb2.shape == gb.shape
+
+
+def test_col2im_matches_scatter_oracle():
+    """Random (k, stride, pad), overlapping (stride < k) and gapped (stride > k)
+    windows. Integer-valued columns make every sum exact, so the match is bitwise."""
+    kinds = set()
+    for t in range(60):
+        rs = R(2000 + t)
+        k, stride, pad = rs.randint(1, 5), rs.randint(1, 5), rs.randint(0, 3)
+        ho, wo = rs.randint(1, 5), rs.randint(1, 5)
+        h, w = stride * (ho - 1) + k - 2 * pad, stride * (wo - 1) + k - 2 * pad
+        if min(h, w) < 1:
+            continue
+        kinds.add((stride > k) - (stride < k))
+        cols = rs.randint(-9, 10, size=(2, 3, k, k, ho, wo)).astype(np.float64)
+        got = _col2im(cols, (h, w), stride, pad)
+        assert got.shape == (2, 3, h, w) and got.flags.c_contiguous
+        assert np.array_equal(got, naive_col2im(cols, (h, w), stride, pad)), (k, stride, pad)
+        # col2im is the adjoint of im2col: <im2col(x), cols> == <x, col2im(cols)>
+        x = rs.randint(-9, 10, size=(2, 3, h, w)).astype(np.float64)
+        patches = _windows(x, k, stride, pad).transpose(0, 1, 4, 5, 2, 3)
+        assert np.sum(patches * cols) == np.sum(x * got)
+    assert kinds == {-1, 0, 1}  # overlapping, abutting and gapped windows all drawn
+
+
+def test_blas_pinned_to_one_thread():
+    """numpy's OpenBLAS, asked through its C API as stepbench/run.py asks it."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS")
+    getter = None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            break
+    if getter is None:
+        assert kernels.BLAS_THREADS is None
+        pytest.skip("numpy's BLAS exports no scipy_openblas_get_num_threads64_")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert getter() == 1
+    assert kernels.BLAS_THREADS == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parconv import schemes
 from parconv.errors import CapacityError, ValidationError
 from parconv.fabric import DeviceSpec, spawn
-from parconv.kernels import SgdState
+from parconv.kernels import SgdState, conv2d_backward
 from parconv.netdef import columnize, load_network, parse_network
 from parconv.schemes import (
     FabricExchange,
@@ -330,6 +331,26 @@ def test_plan_other_than_the_set_up_one_is_named(call, sched):
     assert hybrid_step(fab, setup, plan_columnized(TINY, setup), x, y).loss > 0
 
 
+@pytest.mark.parametrize("plan", [ParallelPlan(2, 2, (3,)), ParallelPlan(4, 1)], ids=["d2m2", "d4m1"])
+def test_midnet_schedulers_bit_identical(plan):
+    """midnet at batch 32 runs GEMMs large enough for OpenBLAS's blocked paths,
+    which tinynet's are not: losses, ledger and parameters match bit for bit."""
+    cs = plan_columnized(MID, plan)
+    batches = [make_batch(MID, 32, seed) for seed in (1, 2)]
+    runs = []
+    for sched in ("lockstep", "threads"):
+        fab = spawn(plan.workers, scheduling=sched)
+        setup_workers(fab, plan, cs, init_dense_params(MID, 0), SgdState())
+        losses = [hybrid_step(fab, plan, cs, x, y).loss for x, y in batches]
+        params = gather_dense_params(fab, plan, cs)
+        raw = {(i, k): (t[k].shape, t[k].tobytes()) for i, t in params.items() for k in ("w", "b")}
+        runs.append((losses, fab.ledger.snapshot(), raw))
+    (losses, ledger, raw), (losses_t, ledger_t, raw_t) = runs
+    assert np.array(losses).tobytes() == np.array(losses_t).tobytes()
+    assert ledger == ledger_t
+    assert raw == raw_t
+
+
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])
 def test_paper_plans_leave_no_message_behind(sched):
     """A run that ends with an undelivered message raises, so each call passing is the check."""
@@ -432,6 +453,20 @@ def test_shard_gradients_sum_to_full_batch_gradient():
             combined = left[idx][key] + right[idx][key]
             scale = max(np.max(np.abs(full[idx][key])), 1e-300)
             assert np.max(np.abs(combined - full[idx][key])) / scale < 1e-12
+
+
+def test_first_layer_input_gradient_is_not_computed(monkeypatch):
+    """The image gradient is thrown away, so layer 0's backward skips it."""
+    flags = []
+
+    def spy(*args, **kwargs):
+        flags.append(kwargs.get("input_grad", True))
+        return conv2d_backward(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "conv2d_backward", spy)
+    x, y = make_batch(TINY, 4)
+    column_fwd_bwd(columnize(TINY, 1), init_dense_params(TINY, 0), x, y, 1.0 / 4, None)
+    assert flags == [True, False]  # layer 3, then layer 0
 
 
 def test_losses_are_finite_and_plan_loss_is_full_batch_mean():
