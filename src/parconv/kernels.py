@@ -4,15 +4,30 @@ Layout is batch x channels x height x width throughout. Kernels take plain
 arrays: conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
 each backward takes the forward's input, weights and upstream gradient.
 Windows are square (conv weights are (N, C, k, k)). One read-only strided
-view, _windows, serves conv (im2col is one contiguous copy of it) and
-max-pooling; conv_output_size is the one check that a window tiles its input.
+view, _windows, serves conv and max-pooling; conv_output_size is the one
+check that a window tiles its input.
 
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
-Processing" (2006). The columns are laid out (B, C*k*k, H'*W'), so the conv
-forward is one matmul per sample, and the gradient with respect to the columns
-comes out as (B, C, k, k, H', W'): each of col2im's k*k adds reads a
-contiguous slice.
+Processing" (2006). A conv unfolds its input once per use (im2col, laid out
+(b, C*k*k, H'*W') per block of samples): the forward is one matmul per sample
+with w as (N, C*k*k), and the weight gradient sums grad_out @ columns^T over
+the samples. The input gradient is a transposed convolution (Dumoulin &
+Visin, "A guide to convolution arithmetic for deep learning", 2016): a
+stride-1 correlation of grad_out, spread out by the stride and offset by
+k-1-pad, with w flipped and transposed to (C, N*k*k), so it is one more
+im2col and one more matmul, with no scatter back onto the input. A stride-s
+conv's input gradient thus runs about s*s times the forward's multiply-adds,
+most of them on the zeros between spread entries.
+
+Every unfold works on blocks of samples: as many as fit, with their padded
+or spread frame (and the weight gradient's per-sample products), in
+WORK_BYTES, about one L2 cache; a sample that needs more is a block of its
+own. The blocks are written into a flat `work` buffer the caller passes
+(workspace(); each fabric worker keeps one from setup_workers), so a step
+allocates no columns; None allocates one buffer for the call. The block
+size depends on the shapes and WORK_BYTES only, never on the buffer, so
+results are bitwise the same either way.
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -23,13 +38,15 @@ count read back after pinning, or None when the symbol is absent and BLAS was
 left as it was.
 
 Everything here is a pure function of its arguments, except sgd_step, which
-updates the parameter and velocity it is given in place; nothing retains state.
+updates the parameter and velocity it is given in place, and the conv
+kernels, which overwrite `work`; nothing retains state.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +78,8 @@ def _pin_blas() -> int | None:
 
 BLAS_THREADS = _pin_blas()
 
+WORK_BYTES = 4 * 2**20  # conv unfold scratch, about one L2 cache: sets every block's size
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -84,13 +103,11 @@ def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _windows(x: np.ndarray, k: int, stride: int, pad: int = 0) -> np.ndarray:
-    """Read-only (B, C, H', W', k, k) view of every k x k window of x, zero padded by pad."""
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Read-only (B, C, H', W', k, k) view of every k x k window of x."""
     b, c, h, w = x.shape
-    ho = conv_output_size(h, k, stride, pad)
-    wo = conv_output_size(w, k, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = conv_output_size(h, k, stride, 0)
+    wo = conv_output_size(w, k, stride, 0)
     sb, sc, sh, sw = x.strides
     return np.lib.stride_tricks.as_strided(
         x,
@@ -105,6 +122,16 @@ def _windows(x: np.ndarray, k: int, stride: int, pad: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def workspace() -> np.ndarray:
+    """A conv scratch buffer of WORK_BYTES in an anonymous mapping of its own.
+
+    No page is touched until a conv writes it, and dropping the buffer unmaps
+    it. np.empty may carve it from malloc's heap instead, where a buffer
+    dropped unused leaves untouched pages that later allocations fault in.
+    """
+    return np.frombuffer(mmap.mmap(-1, WORK_BYTES), dtype=FLOAT)
+
+
 def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
     _require(x.ndim == 4, f"conv input must be 4-d, got {x.shape}")
     _require(
@@ -117,33 +144,85 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
     )
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Patches of x as a contiguous (B, C, k, k, H', W') array."""
-    return np.ascontiguousarray(_windows(x, k, stride, pad).transpose(0, 1, 4, 5, 2, 3))
+def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]:
+    """(source, frame) slices that put source entries 0..n-1 at offset + i*step,
+    keeping those that land inside a frame of extent size."""
+    first = max(0, -(offset // step))
+    stop = min(n, -((offset - size) // step))
+    if stop <= first:
+        return slice(0, 0), slice(0, 0)
+    start = offset + first * step
+    return slice(first, stop), slice(start, start + (stop - first - 1) * step + 1, step)
 
 
-def _col2im(cols: np.ndarray, size: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: adds every (B, C, k, k, H', W') entry back onto the
-    (B, C, H, W) input pixel it was copied from; size is (H, W)."""
-    b, c, k, _, ho, wo = cols.shape
-    h, w = size
-    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=FLOAT)
-    for i, j in np.ndindex(k, k):
-        ys, xs = slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)
-        out[:, :, ys, xs] += cols[:, :, i, j]
-    return np.ascontiguousarray(out[:, :, pad : pad + h, pad : pad + w])
+def _unfolded(
+    a: np.ndarray,
+    k: int,
+    stride: int,
+    offset: int,
+    step: int,
+    frame: tuple[int, int],
+    extra: int,
+    work: np.ndarray | None,
+):
+    """im2col of a (B, C, h, w) array, in blocks of samples.
+
+    Each block is placed into a zeroed (b, C, *frame) frame, entry (y, x) at
+    (offset + y*step, offset + x*step), dropping what falls outside; the
+    frame's k x k windows at `stride` are copied out as (b, C*k*k, H'*W')
+    columns. Frame, columns and `extra` spare elements per sample live in
+    `work`; a block is as many samples as fit in WORK_BYTES (at least one),
+    whatever buffer is passed, so results do not depend on it. Yields
+    (lo, hi, columns, spare) for samples lo..hi-1; each block's views are
+    overwritten by the next.
+    """
+    batch, c, h, w = a.shape
+    fh, fw = frame
+    ho, wo = conv_output_size(fh, k, stride, 0), conv_output_size(fw, k, stride, 0)
+    frame_n, cols_n = c * fh * fw, c * k * k * ho * wo
+    per_sample = frame_n + cols_n + extra
+    block = max(1, min(batch, WORK_BYTES // FLOAT().itemsize // per_sample))
+    _require(
+        work is None or (work.dtype == FLOAT and work.ndim == 1 and work.flags.c_contiguous),
+        f"conv work buffer must be a flat contiguous {FLOAT.__name__} array",
+    )
+    if work is None or work.size < block * per_sample:
+        work = np.empty(block * per_sample, dtype=FLOAT)
+    ys, fy = _placement(h, step, offset, fh)
+    xs, fx = _placement(w, step, offset, fw)
+    for lo in range(0, batch, block):
+        n = min(block, batch - lo)
+        framed = work[: n * frame_n].reshape(n, c, fh, fw)
+        cols = work[n * frame_n : n * (frame_n + cols_n)].reshape(n, c, k, k, ho, wo)
+        framed.fill(0.0)
+        framed[:, :, fy, fx] = a[lo : lo + n, :, ys, xs]
+        np.copyto(cols, _windows(framed, k, stride).transpose(0, 1, 4, 5, 2, 3))
+        spare = work[n * (frame_n + cols_n) : n * per_sample]
+        yield lo, lo + n, cols.reshape(n, c * k * k, ho * wo), spare
 
 
 def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j]."""
+    """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j].
+
+    `work` is scratch for the unfolded input (see workspace()); None allocates it.
+    """
     _conv_shapes(x, w)
-    n = w.shape[0]
+    n, c, k, _ = w.shape
     _require(b.shape == (n,), f"conv bias shape {b.shape} does not match {n} output channels")
-    cols = _im2col(x, w.shape[2], stride, pad)
-    batch, ho, wo = x.shape[0], *cols.shape[4:]
-    out = np.matmul(w.reshape(n, -1), cols.reshape(batch, -1, ho * wo))
+    batch, _, h, wd = x.shape
+    ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
+    out = np.empty((batch, n, ho * wo), dtype=FLOAT)
+    wmat = w.reshape(n, c * k * k)
+    frame = (h + 2 * pad, wd + 2 * pad)
+    for lo, hi, cols, _ in _unfolded(x, k, stride, pad, 1, frame, 0, work):
+        np.matmul(wmat, cols, out=out[lo:hi])
     out += b[None, :, None]
     return out.reshape(batch, n, ho, wo)
 
@@ -155,28 +234,41 @@ def conv2d_backward(
     stride: int = 1,
     pad: int = 0,
     input_grad: bool = True,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias.
 
     With input_grad=False the input gradient is not computed and comes back
-    as None; the weight and bias gradients are the same either way.
+    as None; the weight and bias gradients are the same either way. `work`
+    is as for conv2d_forward.
     """
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
-    cols = _im2col(x, k, stride, pad)
-    b, ho, wo = x.shape[0], *cols.shape[4:]
+    batch, _, h, wd = x.shape
+    ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
     _require(
-        grad_out.shape == (b, n, ho, wo),
-        f"conv grad_out shape {grad_out.shape} does not match forward output {(b, n, ho, wo)}",
+        grad_out.shape == (batch, n, ho, wo),
+        f"conv grad_out shape {grad_out.shape} does not match forward output {(batch, n, ho, wo)}",
     )
-    go = grad_out.reshape(b, n, ho * wo)
+    go = grad_out.reshape(batch, n, ho * wo)
     grad_bias = go.sum(axis=(0, 2))
-    grad_w = np.matmul(go, cols.reshape(b, -1, ho * wo).transpose(0, 2, 1)).sum(axis=0)
+    grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
+    frame = (h + 2 * pad, wd + 2 * pad)
+    for lo, hi, cols, spare in _unfolded(x, k, stride, pad, 1, frame, n * c * k * k, work):
+        per_sample = spare.reshape(hi - lo, n, c * k * k)
+        np.matmul(go[lo:hi], cols.transpose(0, 2, 1), out=per_sample)
+        grad_w += per_sample.sum(axis=0)
     grad_w = grad_w.reshape(w.shape)
     if not input_grad:
         return None, grad_w, grad_bias
-    grad_cols = np.matmul(w.reshape(n, -1).T, go).reshape(b, c, k, k, ho, wo)
-    return _col2im(grad_cols, x.shape[2:], stride, pad), grad_w, grad_bias
+    # the transposed conv: a stride-1 correlation of grad_out, spread by the
+    # stride and offset by k-1-pad, with w flipped and transposed to (C, N*k*k)
+    wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, n * k * k)
+    grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
+    frame = (h + k - 1, wd + k - 1)
+    for lo, hi, cols, _ in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, 0, work):
+        np.matmul(wt, cols, out=grad_x[lo:hi])
+    return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +308,39 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Subgradient at exactly 0 is 0."""
+    """grad_out * (x > 0): the subgradient at exactly 0 is 0.
+
+    A masked entry is grad_out * 0.0, so it is -0.0 where grad_out is
+    negative (equal to 0.0 under ==) and NaN where grad_out is not finite.
+    """
     _require(x.shape == grad_out.shape, "relu grad_out shape mismatch")
-    return np.where(x > 0.0, grad_out, 0.0)
+    return grad_out * (x > 0.0)
 
 
 def maxpool_forward(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window max plus argmax (flat index within each k*k window, first max wins)."""
+    """Window max plus argmax (flat index within each k*k window, first max wins).
+
+    A running max over the k*k strided views of the windows, in branch-free
+    ufuncs (a masked copy costs ~10x as much on the unpredictable masks of
+    ReLU outputs). An entry takes over only if it is greater than the max so
+    far, or a NaN while that max is not, so argmax equals np.argmax over each
+    window, NaN included, and out equals the entry it points to.
+    """
     _require(x.ndim == 4, f"maxpool input must be 4-d, got {x.shape}")
     win = _windows(x, k, stride)
-    win = win.reshape(*win.shape[:4], k * k)
-    argmax = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, argmax[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), argmax
+    out = win[..., 0, 0].copy()
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    below, takes = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
+    index = np.empty(out.shape, dtype=np.intp)
+    for flat in range(1, k * k):
+        entry = win[..., flat // k, flat % k]
+        np.less_equal(entry, out, out=below)  # False where entry is greater or a NaN
+        np.equal(out, out, out=takes)  # False where the max so far is a NaN
+        np.greater(takes, below, out=takes)
+        np.maximum(entry, out, out=out)
+        np.multiply(takes, flat, out=index)
+        np.maximum(argmax, index, out=argmax)  # every earlier entry has a lower flat index
+    return out, argmax
 
 
 def maxpool_backward(

@@ -12,7 +12,6 @@ from parconv import kernels
 from parconv.errors import ShapeError, ValidationError
 from parconv.kernels import (
     SgdState,
-    _col2im,
     _windows,
     conv2d_backward,
     conv2d_forward,
@@ -117,7 +116,7 @@ def test_windows_match_sliding_window_view(k, stride, pad, ho, wo, seed):
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     want = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
     want = want[:, :, ::stride, ::stride]
-    got = _windows(x, k, stride, pad)
+    got = _windows(padded, k, stride)
     assert got.shape == want.shape == (2, 3, ho, wo, k, k)
     assert np.array_equal(got, want)
     assert not got.flags.writeable
@@ -191,27 +190,80 @@ def test_conv_backward_without_input_grad_is_bitwise_the_same(stride, pad):
     assert gb2.tobytes() == gb.tobytes() and gb2.shape == gb.shape
 
 
-def test_col2im_matches_scatter_oracle():
-    """Random (k, stride, pad), overlapping (stride < k) and gapped (stride > k)
-    windows. Integer-valued columns make every sum exact, so the match is bitwise."""
-    kinds = set()
-    for t in range(60):
+def test_conv_input_gradient_matches_scatter_oracle():
+    """The transposed conv against scattering each window's gradient back onto the
+    pixels it covers, over random (k, stride, pad): overlapping (stride < k),
+    abutting and gapped (stride > k) windows, and pads as wide as the window.
+    Integer-valued weights and gradients make every sum exact, so the match is
+    bitwise."""
+    kinds, wide_pads = set(), 0
+    for t in range(80):
         rs = R(2000 + t)
-        k, stride, pad = rs.randint(1, 5), rs.randint(1, 5), rs.randint(0, 3)
-        ho, wo = rs.randint(1, 5), rs.randint(1, 5)
+        k, stride = rs.randint(1, 5), rs.randint(1, 5)
+        pad = rs.randint(0, k + 2)
+        ho, wo = rs.randint(1, 7), rs.randint(1, 7)
         h, w = stride * (ho - 1) + k - 2 * pad, stride * (wo - 1) + k - 2 * pad
         if min(h, w) < 1:
             continue
         kinds.add((stride > k) - (stride < k))
-        cols = rs.randint(-9, 10, size=(2, 3, k, k, ho, wo)).astype(np.float64)
-        got = _col2im(cols, (h, w), stride, pad)
-        assert got.shape == (2, 3, h, w) and got.flags.c_contiguous
-        assert np.array_equal(got, naive_col2im(cols, (h, w), stride, pad)), (k, stride, pad)
-        # col2im is the adjoint of im2col: <im2col(x), cols> == <x, col2im(cols)>
-        x = rs.randint(-9, 10, size=(2, 3, h, w)).astype(np.float64)
-        patches = _windows(x, k, stride, pad).transpose(0, 1, 4, 5, 2, 3)
-        assert np.sum(patches * cols) == np.sum(x * got)
+        wide_pads += pad >= k
+        n, c = rs.randint(1, 4), rs.randint(1, 4)
+        x = rs.randint(-9, 10, size=(2, c, h, w)).astype(np.float64)
+        weights = rs.randint(-9, 10, size=(n, c, k, k)).astype(np.float64)
+        g = rs.randint(-9, 10, size=(2, n, ho, wo)).astype(np.float64)
+        got, _, _ = conv2d_backward(x, weights, g, stride, pad)
+        want = naive_col2im(np.einsum("nckl,bnyx->bcklyx", weights, g), (h, w), stride, pad)
+        assert got.shape == (2, c, h, w) and got.flags.c_contiguous
+        assert np.array_equal(got, want), (k, stride, pad)
     assert kinds == {-1, 0, 1}  # overlapping, abutting and gapped windows all drawn
+    assert wide_pads > 0
+
+
+@pytest.mark.parametrize(
+    "batch, work_bytes",
+    [(5, 2**16), (7, 2**15), (3, 8), (4, kernels.WORK_BYTES)],
+    ids=["scratch-64KiB", "scratch-32KiB", "sample-beyond-scratch", "default-scratch"],
+)
+@pytest.mark.parametrize("stride, pad", [(1, 2), (2, 1), (3, 0)])
+def test_conv_results_do_not_depend_on_the_work_buffer(monkeypatch, batch, work_bytes, stride, pad):
+    """Blocks are cut by the scratch size alone: a caller's buffer (here filled
+    with NaN garbage), a fresh one, and a too-small one give the same bits,
+    also when the batch does not divide into whole blocks."""
+    monkeypatch.setattr(kernels, "WORK_BYTES", work_bytes)
+    rs = R(stride * 10 + pad)
+    x = rs.randn(batch, 3, 9, 9)
+    w, b = rs.randn(4, 3, 3, 3), rs.randn(4)
+    out = conv2d_forward(x, w, b, stride, pad)
+    g = rs.randn(*out.shape)
+    want = conv2d_backward(x, w, g, stride, pad)
+    for work in (kernels.workspace(), np.full(2**16, np.nan), np.zeros(1)):
+        assert conv2d_forward(x, w, b, stride, pad, work=work).tobytes() == out.tobytes()
+        got = conv2d_backward(x, w, g, stride, pad, work=work)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    want = naive_conv2d(x, w, b, stride, pad)
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_empty_batch():
+    x, w = np.ones((0, 2, 5, 5)), np.ones((3, 2, 3, 3))
+    out = conv2d_forward(x, w, np.zeros(3), 1, 1)
+    assert out.shape == (0, 3, 5, 5)
+    gx, gw, gb = conv2d_backward(x, w, out, 1, 1)
+    assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (3,)
+    assert not gw.any() and not gb.any()
+
+
+@pytest.mark.parametrize(
+    "work", [np.zeros(2**16, dtype=np.float32), np.zeros((2, 2**15)), np.zeros(2**17)[::2],
+             np.zeros(1, dtype=np.float32)],
+    ids=["float32", "2-d", "strided", "float32-too-small"],
+)
+def test_conv_rejects_a_bad_work_buffer(work):
+    x, w = np.ones((2, 1, 4, 4)), np.ones((1, 1, 3, 3))
+    with pytest.raises(ShapeError, match="work buffer"):
+        conv2d_forward(x, w, np.zeros(1), work=work)
+    with pytest.raises(ShapeError, match="work buffer"):
+        conv2d_backward(x, w, np.ones((2, 1, 2, 2)), work=work)
 
 
 def test_blas_pinned_to_one_thread():
@@ -362,6 +414,50 @@ def test_maxpool_overlapping_windows_accumulate():
     out, argmax = maxpool_forward(x, 2, 1)
     gx = maxpool_backward(x, 2, 1, np.ones_like(out), argmax)
     assert gx[0, 0, 1, 1] == 4.0
+
+
+def _window_argmax(x, k, stride):
+    """Today's reference: np.argmax over a copied (B, C, H', W', k*k) window array."""
+    win = _windows(x, k, stride)
+    return np.argmax(win.reshape(*win.shape[:4], k * k), axis=-1)
+
+
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 1), (2, 3), (1, 1), (3, 3)])
+def test_maxpool_argmax_bitwise_as_np_argmax_on_relu_outputs(k, stride):
+    """ReLU outputs tie at zero in most windows; overlapping (3/2, 2/1) and gapped
+    (2/3) windows too. The running max keeps np.argmax's first-max rule."""
+    rs = R(20 + 10 * k + stride)
+    x = relu_forward(rs.randn(3, 4, stride * 5 + k, stride * 4 + k) - 0.5)
+    assert np.mean(x == 0.0) > 0.5
+    out, argmax = maxpool_forward(x, k, stride)
+    want = _window_argmax(x, k, stride)
+    assert argmax.dtype == want.dtype and np.array_equal(argmax, want)
+    assert np.array_equal(out, naive_maxpool(x, k, stride))
+
+
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 3)])
+def test_maxpool_out_is_the_entry_argmax_points_to_with_nan(k, stride):
+    rs = R(30 + k + stride)
+    values = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 2.0, np.inf])
+    x = rs.choice(values, size=(4, 3, stride * 6 + k, stride * 5 + k))
+    out, argmax = maxpool_forward(x, k, stride)
+    win = _windows(x, k, stride)
+    picked = np.take_along_axis(win.reshape(*win.shape[:4], k * k), argmax[..., None], -1)[..., 0]
+    assert np.isnan(out).any() and not np.isnan(out).all()
+    assert np.array_equal(out, picked, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(picked))
+    assert np.array_equal(argmax, _window_argmax(x, k, stride))
+
+
+def test_relu_backward_masks_like_where():
+    """grad_out * (x > 0) equals the masked select; masked entries may be -0.0."""
+    rs = R(40)
+    x = relu_forward(rs.randn(2, 3, 5, 5)) - rs.randint(0, 2, size=(2, 3, 5, 5))
+    g = rs.randn(*x.shape)
+    got = relu_backward(x, g)
+    assert np.array_equal(got, np.where(x > 0.0, g, 0.0))
+    masked_negative = (x <= 0.0) & (g < 0.0)
+    assert masked_negative.any() and np.signbit(got[masked_negative]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from parconv import schemes
 from parconv.errors import CapacityError, ValidationError
 from parconv.fabric import DeviceSpec, spawn
-from parconv.kernels import SgdState, conv2d_backward
-from parconv.netdef import columnize, load_network, parse_network
+from parconv.kernels import SgdState, conv2d_backward, conv2d_forward
+from parconv.netdef import columnize, load_network, parse_network, worker_footprint_bytes
 from parconv.schemes import (
     FabricExchange,
     ParallelPlan,
@@ -281,6 +281,44 @@ def test_second_setup_gives_back_accounted_memory():
     first = list(fab.meter.current)
     setup_workers(fab, plan, cs, init_dense_params(TINY, 1), SgdState())
     assert fab.meter.current == first
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_worker_workspace_is_reused_and_replaced_by_setup(monkeypatch, sched):
+    """Each worker's conv scratch is allocated once by setup_workers and handed
+    to every conv call of its steps and evaluations; a second set-up replaces
+    it. It is host scratch: the meter's peaks stay at the footprint formula."""
+    plan = ParallelPlan(2, 2, (3,))
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    buffers = fab.run(lambda ctx: ctx.local["work"])
+    assert len({id(b) for b in buffers}) == plan.workers
+
+    seen = []  # the work buffer of every conv call
+
+    def spy(kernel):
+        def call(*args, **kwargs):
+            seen.append(kwargs["work"])
+            return kernel(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(schemes, "conv2d_forward", spy(conv2d_forward))
+    monkeypatch.setattr(schemes, "conv2d_backward", spy(conv2d_backward))
+    for seed in range(2):
+        hybrid_step(fab, plan, cs, *make_batch(TINY, 8, seed))
+    steps = len(seen)
+    evaluation_errors(fab, plan, cs, *make_batch(TINY, 4, 5))
+    # steps x workers x convs x (forward, backward); evaluation runs on replica 0 only
+    assert steps == 2 * 4 * 2 * 2 and len(seen) == steps + 2 * 2
+    assert {id(w) for w in seen} == {id(b) for b in buffers}
+    assert all(a is b for a, b in zip(fab.run(lambda ctx: ctx.local["work"]), buffers))
+    assert fab.meter.peak == [worker_footprint_bytes(cs, 4, holds_velocity=wid < 2)
+                              for wid in range(plan.workers)]
+
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 1), SgdState())
+    again = fab.run(lambda ctx: ctx.local["work"])
+    assert all(a is not b for a, b in zip(again, buffers))
 
 
 ENTRY_POINTS = pytest.mark.parametrize(
