@@ -95,6 +95,8 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
         c, h, w = (int(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--shape must be CxHxW integers, got {text!r}") from None
+    if min(c, h, w) < 1:
+        raise ValidationError(f"--shape extents must be >= 1, got {text!r}")
     return c, h, w
 
 

@@ -251,6 +251,8 @@ def calibrate(
     first point) seeds a Nelder-Mead refinement over the log parameters.
     Observations whose plan cannot fit in `memory` are rejected.
     """
+    if epochs < 1:
+        raise ValidationError(f"epochs must be >= 1, got {epochs}")
     if len(observations) < 4:
         raise CalibrationError(
             f"calibration needs at least 4 observations, got {len(observations)}"

@@ -90,9 +90,9 @@ class MemoryMeter:
             self.peak[wid] = self.current[wid]
 
     def free(self, wid: int, nbytes: int) -> None:
-        self.current[wid] -= nbytes
-        if self.current[wid] < 0:
+        if nbytes > self.current[wid]:
             raise ValidationError(f"worker {wid}: freed more bytes than allocated")
+        self.current[wid] -= nbytes
 
 
 class _Abort(Exception):

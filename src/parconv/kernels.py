@@ -23,11 +23,8 @@ most of them on the zeros between spread entries.
 Every unfold works on blocks of samples: as many as fit, with their padded
 or spread frame (and the weight gradient's per-sample products), in
 WORK_BYTES, about one L2 cache; a sample that needs more is a block of its
-own. The blocks are written into a flat `work` buffer the caller passes
-(workspace(); each fabric worker keeps one from setup_workers), so a step
-allocates no columns; None allocates one buffer for the call. The block
-size depends on the shapes and WORK_BYTES only, never on the buffer, so
-results are bitwise the same either way.
+own. Each call allocates one buffer for its blocks and reuses it from block
+to block; the block size depends on the shapes and WORK_BYTES only.
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -37,16 +34,25 @@ determinism contract relies on. BLAS_THREADS records the outcome: the thread
 count read back after pinning, or None when the symbol is absent and BLAS was
 left as it was.
 
+Importing it also pins glibc's malloc, for the whole process, so that a step
+reuses the memory the step before it freed rather than faulting it in again.
+mallopt sets M_MMAP_THRESHOLD to 32 MiB, so a step's arrays (a few MB at
+most) come from the heap and not from mappings of their own; M_TRIM_THRESHOLD
+to 64 MiB, so the heap is not handed back between steps; and M_ARENA_MAX to 1,
+so worker threads share that heap rather than each keeping free memory of its
+own. MALLOC_PINNED records the outcome: True when all three settings took,
+False when one was refused, or None when the C library has no mallopt and
+malloc was left as it was.
+
 Everything here is a pure function of its arguments, except sgd_step, which
-updates the parameter and velocity it is given in place, and the conv
-kernels, which overwrite `work`; nothing retains state.
+updates the parameter and velocity it is given in place; nothing retains
+state.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +83,24 @@ def _pin_blas() -> int | None:
 
 
 BLAS_THREADS = _pin_blas()
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # glibc's malloc.h
+MALLOC_SETTINGS = ((M_MMAP_THRESHOLD, 32 * 2**20), (M_TRIM_THRESHOLD, 64 * 2**20), (M_ARENA_MAX, 1))
+
+
+def _pin_malloc() -> bool | None:
+    """Apply MALLOC_SETTINGS through mallopt; whether all took, or None if the
+    C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # a list, not a generator: a refused setting does not skip the others
+    return all([mallopt(param, value) == 1 for param, value in MALLOC_SETTINGS])
+
+
+MALLOC_PINNED = _pin_malloc()
 
 WORK_BYTES = 4 * 2**20  # conv unfold scratch, about one L2 cache: sets every block's size
 
@@ -122,16 +146,6 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def workspace() -> np.ndarray:
-    """A conv scratch buffer of WORK_BYTES in an anonymous mapping of its own.
-
-    No page is touched until a conv writes it, and dropping the buffer unmaps
-    it. np.empty may carve it from malloc's heap instead, where a buffer
-    dropped unused leaves untouched pages that later allocations fault in.
-    """
-    return np.frombuffer(mmap.mmap(-1, WORK_BYTES), dtype=FLOAT)
-
-
 def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
     _require(x.ndim == 4, f"conv input must be 4-d, got {x.shape}")
     _require(
@@ -163,18 +177,16 @@ def _unfolded(
     step: int,
     frame: tuple[int, int],
     extra: int,
-    work: np.ndarray | None,
 ):
     """im2col of a (B, C, h, w) array, in blocks of samples.
 
     Each block is placed into a zeroed (b, C, *frame) frame, entry (y, x) at
     (offset + y*step, offset + x*step), dropping what falls outside; the
     frame's k x k windows at `stride` are copied out as (b, C*k*k, H'*W')
-    columns. Frame, columns and `extra` spare elements per sample live in
-    `work`; a block is as many samples as fit in WORK_BYTES (at least one),
-    whatever buffer is passed, so results do not depend on it. Yields
-    (lo, hi, columns, spare) for samples lo..hi-1; each block's views are
-    overwritten by the next.
+    columns. Frame, columns and `extra` spare elements per sample share one
+    buffer; a block is as many samples as fit in WORK_BYTES (at least one).
+    Yields (lo, hi, columns, spare) for samples lo..hi-1; each block's views
+    are overwritten by the next.
     """
     batch, c, h, w = a.shape
     fh, fw = frame
@@ -182,22 +194,17 @@ def _unfolded(
     frame_n, cols_n = c * fh * fw, c * k * k * ho * wo
     per_sample = frame_n + cols_n + extra
     block = max(1, min(batch, WORK_BYTES // FLOAT().itemsize // per_sample))
-    _require(
-        work is None or (work.dtype == FLOAT and work.ndim == 1 and work.flags.c_contiguous),
-        f"conv work buffer must be a flat contiguous {FLOAT.__name__} array",
-    )
-    if work is None or work.size < block * per_sample:
-        work = np.empty(block * per_sample, dtype=FLOAT)
+    buf = np.empty(block * per_sample, dtype=FLOAT)
     ys, fy = _placement(h, step, offset, fh)
     xs, fx = _placement(w, step, offset, fw)
     for lo in range(0, batch, block):
         n = min(block, batch - lo)
-        framed = work[: n * frame_n].reshape(n, c, fh, fw)
-        cols = work[n * frame_n : n * (frame_n + cols_n)].reshape(n, c, k, k, ho, wo)
+        framed = buf[: n * frame_n].reshape(n, c, fh, fw)
+        cols = buf[n * frame_n : n * (frame_n + cols_n)].reshape(n, c, k, k, ho, wo)
         framed.fill(0.0)
         framed[:, :, fy, fx] = a[lo : lo + n, :, ys, xs]
         np.copyto(cols, _windows(framed, k, stride).transpose(0, 1, 4, 5, 2, 3))
-        spare = work[n * (frame_n + cols_n) : n * per_sample]
+        spare = buf[n * (frame_n + cols_n) : n * per_sample]
         yield lo, lo + n, cols.reshape(n, c * k * k, ho * wo), spare
 
 
@@ -207,12 +214,8 @@ def conv2d_forward(
     b: np.ndarray,
     stride: int = 1,
     pad: int = 0,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j].
-
-    `work` is scratch for the unfolded input (see workspace()); None allocates it.
-    """
+    """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j]."""
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
     _require(b.shape == (n,), f"conv bias shape {b.shape} does not match {n} output channels")
@@ -221,7 +224,7 @@ def conv2d_forward(
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
     wmat = w.reshape(n, c * k * k)
     frame = (h + 2 * pad, wd + 2 * pad)
-    for lo, hi, cols, _ in _unfolded(x, k, stride, pad, 1, frame, 0, work):
+    for lo, hi, cols, _ in _unfolded(x, k, stride, pad, 1, frame, 0):
         np.matmul(wmat, cols, out=out[lo:hi])
     out += b[None, :, None]
     return out.reshape(batch, n, ho, wo)
@@ -234,13 +237,11 @@ def conv2d_backward(
     stride: int = 1,
     pad: int = 0,
     input_grad: bool = True,
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias.
 
     With input_grad=False the input gradient is not computed and comes back
-    as None; the weight and bias gradients are the same either way. `work`
-    is as for conv2d_forward.
+    as None; the weight and bias gradients are the same either way.
     """
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
@@ -254,7 +255,7 @@ def conv2d_backward(
     grad_bias = go.sum(axis=(0, 2))
     grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
     frame = (h + 2 * pad, wd + 2 * pad)
-    for lo, hi, cols, spare in _unfolded(x, k, stride, pad, 1, frame, n * c * k * k, work):
+    for lo, hi, cols, spare in _unfolded(x, k, stride, pad, 1, frame, n * c * k * k):
         per_sample = spare.reshape(hi - lo, n, c * k * k)
         np.matmul(go[lo:hi], cols.transpose(0, 2, 1), out=per_sample)
         grad_w += per_sample.sum(axis=0)
@@ -266,7 +267,7 @@ def conv2d_backward(
     wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, n * k * k)
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
-    for lo, hi, cols, _ in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, 0, work):
+    for lo, hi, cols, _ in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, 0):
         np.matmul(wt, cols, out=grad_x[lo:hi])
     return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
 

@@ -43,7 +43,6 @@ from .kernels import (
     relu_forward,
     sgd_step,
     softmax_xent_scaled,
-    workspace,
 )
 from .netdef import (
     WIRE_ELEMENT_SIZE,
@@ -310,7 +309,6 @@ def column_forward(
     params: ParamSet,
     x: np.ndarray,
     exchange: FabricExchange | None,
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]], list[int]]:
     """One column's forward pass up to the loss layer.
 
@@ -319,8 +317,7 @@ def column_forward(
     backward pass consumes; kept is the element count of each activation the
     step keeps (the input, each cross layer's concatenation and each layer's
     output, in that order), as worker_footprint_bytes counts them. `exchange`
-    is None when the network has one column, which never crosses. `work` is
-    the conv scratch buffer (kernels.workspace(); None allocates per call).
+    is None when the network has one column, which never crosses.
     """
     a = x
     kept = [a.size]
@@ -333,7 +330,7 @@ def column_forward(
         argmax = None
         if isinstance(layer, Conv):
             w, b = params[cl.index]["w"], params[cl.index]["b"]
-            out = conv2d_forward(a, w, b, layer.stride, layer.pad, work=work)
+            out = conv2d_forward(a, w, b, layer.stride, layer.pad)
         elif isinstance(layer, FC):
             out = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
         elif isinstance(layer, ReLU):
@@ -356,19 +353,18 @@ def column_fwd_bwd(
     loss_scale: float,
     exchange: FabricExchange | None,
     meter_ctx: Worker | None = None,
-    work: np.ndarray | None = None,
 ) -> tuple[float, ParamSet]:
     """One column's forward + backward over a batch; returns (loss, gradients).
 
     The gradient of a replicated head layer is the full gradient (identical in
     every column); gradients of split layers cover only this column's slice.
     The kept activations are accounted on `meter_ctx` in one allocation and
-    given back however the step exits. `work` is as for column_forward.
+    given back however the step exits.
     """
     m = cs.columns
     accounted = 0
     try:
-        logits, caches, kept = column_forward(cs, params, x, exchange, work)
+        logits, caches, kept = column_forward(cs, params, x, exchange)
         if meter_ctx is not None:
             accounted = meter_ctx.alloc(sum(kept))
         loss, g = softmax_xent_scaled(logits, labels, loss_scale)
@@ -382,8 +378,7 @@ def column_fwd_bwd(
             elif isinstance(layer, Conv):
                 # the first layer's input gradient (w.r.t. the image) is never used
                 g_in, gw, gb = conv2d_backward(
-                    a, params[cl.index]["w"], g, layer.stride, layer.pad,
-                    input_grad=pos > 0, work=work,
+                    a, params[cl.index]["w"], g, layer.stride, layer.pad, input_grad=pos > 0
                 )
                 grads[cl.index] = {"w": gw, "b": gb}
             elif isinstance(layer, FC):
@@ -472,10 +467,7 @@ def setup_workers(
     Each worker keeps its parameters as one flat vector in pack_tree order,
     plus per-layer views of it for the engine; the column root (replica 0)
     also keeps a velocity vector of the same layout, which it updates with
-    `sgd`. Each also keeps `cs`, which every later call must pass again,
-    and a conv scratch buffer (kernels.workspace()) that its steps and
-    evaluations reuse. That buffer is host scratch, like numpy's
-    temporaries, and is not accounted on the meter.
+    `sgd`. Each also keeps `cs`, which every later call must pass again.
     """
     _check_layout(fabric, plan, cs)
     m = plan.model_columns
@@ -485,9 +477,9 @@ def setup_workers(
     for wid in range(fabric.n):
         flat = pack_tree(split_params(dense_params, cs, wid % m), cs)
         velocity = np.zeros_like(flat) if wid < m else None  # replica 0 roots each column
-        args.append((flat, velocity, workspace()))
+        args.append((flat, velocity))
 
-    def program(ctx: Worker, flat: np.ndarray, velocity: np.ndarray | None, work: np.ndarray):
+    def program(ctx: Worker, flat: np.ndarray, velocity: np.ndarray | None):
         state = ctx.local
         ctx.free_bytes(state.get("accounted", 0))  # a previous set-up's vectors
         state.clear()
@@ -495,8 +487,7 @@ def setup_workers(
         accounted = ctx.alloc(flat.size * (1 if velocity is None else 2))
         replica, column = divmod(ctx.wid, m)
         state.update(replica=replica, column=column, cs=cs, params=flat,
-                     layers=unpack_tree(flat, cs), sgd=sgd, velocity=velocity,
-                     work=work, accounted=accounted)
+                     layers=unpack_tree(flat, cs), sgd=sgd, velocity=velocity, accounted=accounted)
 
     fabric.run(program, args)
 
@@ -543,7 +534,7 @@ def hybrid_step(
         replica, column = state["replica"], state["column"]
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
-            cs, state["layers"], shard_x, shard_y, loss_scale, exchange, ctx, state["work"]
+            cs, state["layers"], shard_x, shard_y, loss_scale, exchange, ctx
         )
         # data-parallel leg: same-column workers combine gradients at the column root
         group = [r * m + column for r in range(d)]
@@ -597,7 +588,7 @@ def evaluation_errors(
             return None
         column = state["column"]
         exchange = FabricExchange(ctx, 0, column, m) if m > 1 else None
-        logits, _, _ = column_forward(cs, state["layers"], x, exchange, state["work"])
+        logits, _, _ = column_forward(cs, state["layers"], x, exchange)
         if column != 0:
             return None
         return int(np.count_nonzero(np.argmax(logits, axis=1) != labels))

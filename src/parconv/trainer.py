@@ -244,6 +244,8 @@ def run_equivalence(
 ) -> list[Divergence]:
     """Train every plan on the identical batch sequence and compare per-update
     losses and final parameters against the single-worker reference."""
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
     for plan in plans:
         plan.shard(batch)  # before any training
     if data is None:

@@ -45,6 +45,15 @@ def test_gen_data_bad_shape_exit_1(capsys):
     assert "CxHxW" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", ["0x4x4", "1x-2x4"])
+def test_gen_data_empty_extent_exit_1(tmp_path, capsys, shape):
+    code = main(["gen-data", "--classes", "2", "--per-class", "4", "--shape", shape,
+                 "--seed", "0", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "extents must be >= 1" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exit_1(capsys):
     assert main(["estimate", "--bogus", "1"]) == 1
     assert "error" in capsys.readouterr().err
@@ -52,6 +61,18 @@ def test_unknown_flag_exit_1(capsys):
 
 def test_missing_subcommand_exit_1():
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_verify_steps_below_one_exit_1(capsys, steps):
+    code = main([
+        "verify", "--net", str(CONFIGS / "tinynet.net"),
+        "--plans", str(CONFIGS / "plan_d1m1.plan"), "--steps", steps,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"steps must be >= 1, got {steps}" in captured.err and "Traceback" not in captured.err
+    assert "coincide" not in captured.out
 
 
 def test_verify_four_plans_exit_0(capsys):
@@ -275,6 +296,19 @@ def test_calibrate_bad_inputs_exit_1(tmp_path, capsys, cross, table, named):
     assert code == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_calibrate_epochs_below_one_exit_1(tmp_path, capsys, epochs):
+    code = main([
+        "calibrate", "--net", str(CONFIGS / "alexnet.net"),
+        "--observations", str(CONFIGS / "table1.csv"), "--cross-layers", "3,6,8,10",
+        "--epochs", epochs, "--out", str(tmp_path / "fitted.cost"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"epochs must be >= 1, got {epochs}" in err and "Traceback" not in err
+    assert not (tmp_path / "fitted.cost").exists()
 
 
 def test_estimate_reproduces_table1_within_10_percent(tmp_path, capsys):

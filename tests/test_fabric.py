@@ -439,6 +439,16 @@ def test_meter_capacity_breach_names_worker_and_overshoot():
         assert fab.meter.current == [0, 0]  # the refused alloc accounted nothing
 
 
+def test_meter_refused_free_leaves_count_unchanged():
+    fab = spawn(1)
+    fab.meter.alloc(0, 10)
+    with pytest.raises(ValidationError, match="worker 0: freed more bytes than allocated"):
+        fab.meter.free(0, 20)
+    assert fab.meter.current == [10] and fab.meter.peak == [10]
+    fab.meter.free(0, 10)
+    assert fab.meter.current == [0]
+
+
 def test_device_spec_validation():
     with pytest.raises(ValidationError):
         DeviceSpec(memory_capacity=0)

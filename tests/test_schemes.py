@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parconv import schemes
+from parconv import kernels, schemes
 from parconv.errors import CapacityError, ValidationError
 from parconv.fabric import DeviceSpec, spawn
-from parconv.kernels import SgdState, conv2d_backward, conv2d_forward
-from parconv.netdef import columnize, load_network, parse_network, worker_footprint_bytes
+from parconv.kernels import SgdState, conv2d_backward
+from parconv.netdef import columnize, load_network, parse_network
 from parconv.schemes import (
     FabricExchange,
     ParallelPlan,
@@ -283,44 +283,6 @@ def test_second_setup_gives_back_accounted_memory():
     assert fab.meter.current == first
 
 
-@pytest.mark.parametrize("sched", ["lockstep", "threads"])
-def test_worker_workspace_is_reused_and_replaced_by_setup(monkeypatch, sched):
-    """Each worker's conv scratch is allocated once by setup_workers and handed
-    to every conv call of its steps and evaluations; a second set-up replaces
-    it. It is host scratch: the meter's peaks stay at the footprint formula."""
-    plan = ParallelPlan(2, 2, (3,))
-    cs = plan_columnized(TINY, plan)
-    fab = spawn(plan.workers, scheduling=sched)
-    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
-    buffers = fab.run(lambda ctx: ctx.local["work"])
-    assert len({id(b) for b in buffers}) == plan.workers
-
-    seen = []  # the work buffer of every conv call
-
-    def spy(kernel):
-        def call(*args, **kwargs):
-            seen.append(kwargs["work"])
-            return kernel(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(schemes, "conv2d_forward", spy(conv2d_forward))
-    monkeypatch.setattr(schemes, "conv2d_backward", spy(conv2d_backward))
-    for seed in range(2):
-        hybrid_step(fab, plan, cs, *make_batch(TINY, 8, seed))
-    steps = len(seen)
-    evaluation_errors(fab, plan, cs, *make_batch(TINY, 4, 5))
-    # steps x workers x convs x (forward, backward); evaluation runs on replica 0 only
-    assert steps == 2 * 4 * 2 * 2 and len(seen) == steps + 2 * 2
-    assert {id(w) for w in seen} == {id(b) for b in buffers}
-    assert all(a is b for a, b in zip(fab.run(lambda ctx: ctx.local["work"]), buffers))
-    assert fab.meter.peak == [worker_footprint_bytes(cs, 4, holds_velocity=wid < 2)
-                              for wid in range(plan.workers)]
-
-    setup_workers(fab, plan, cs, init_dense_params(TINY, 1), SgdState())
-    again = fab.run(lambda ctx: ctx.local["work"])
-    assert all(a is not b for a, b in zip(again, buffers))
-
-
 ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
@@ -387,6 +349,31 @@ def test_midnet_schedulers_bit_identical(plan):
     assert np.array(losses).tobytes() == np.array(losses_t).tobytes()
     assert ledger == ledger_t
     assert raw == raw_t
+
+
+@pytest.mark.parametrize(
+    "plan, sched",
+    [(ParallelPlan(1, 1), "lockstep"), (ParallelPlan(1, 2, (3,)), "threads")],
+    ids=["d1m1-lockstep", "d1m2-threads"],
+)
+def test_warm_updates_barely_fault(plan, sched):
+    """With malloc pinned (kernels.MALLOC_PINNED), a warm midnet update at batch 32
+    reuses the pages of the one before: under 100 minor page faults per update,
+    where glibc's default thresholds take thousands."""
+    if kernels.MALLOC_PINNED is not True:
+        pytest.skip("malloc's thresholds are not pinned")
+    import resource  # glibc implies a Unix
+    cs = plan_columnized(MID, plan)
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(MID, 0), SgdState())
+    batches = [make_batch(MID, 32, seed) for seed in range(8)]
+    for x, y in batches[:3]:
+        hybrid_step(fab, plan, cs, x, y)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for x, y in batches[3:]:
+        hybrid_step(fab, plan, cs, x, y)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    assert faults < 100
 
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])

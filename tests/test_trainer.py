@@ -153,13 +153,18 @@ def test_wall_clock_opt_in(blobs10):
 
 
 def test_runtime_meter_peak_matches_static_footprint(blobs10):
-    train_data, _ = blobs10
-    for plan in (PLANS[0], PLANS[2]):
-        cfg = config(train_data, plan=plan, epochs=1)
+    """Every worker's meter peak is the footprint formula; only column roots
+    (replica 0) hold a velocity."""
+    train_data, test_data = blobs10
+    for plan in (PLANS[0], PLANS[2], PLANS[3]):
+        cfg = config(train_data, test_data, plan=plan, epochs=1)
         result = train(cfg)
         cs = columnize(TINY, plan.model_columns, plan.cross_layers)
-        want = worker_footprint_bytes(cs, cfg.batch // plan.data_shards, holds_velocity=True)
-        assert result.fabric.meter.peak[0] == want
+        shard = cfg.batch // plan.data_shards
+        assert result.fabric.meter.peak == [
+            worker_footprint_bytes(cs, shard, holds_velocity=wid < plan.model_columns)
+            for wid in range(plan.workers)
+        ]
 
 
 def test_memory_window_rejects_full_model_but_trains_columns(blobs10):
