@@ -64,6 +64,6 @@ from .schemes import (
     setup_workers,
     split_params,
 )
-from .trainer import TrainConfig, TrainResult, evaluate, run_equivalence, train
+from .trainer import TrainConfig, TrainResult, run_equivalence, train
 
 __version__ = "0.1.0"

@@ -15,7 +15,9 @@ Two scheduling modes must produce bit-identical results and ledgers:
 Every send, recv and finish happens under one condition variable, so in both
 modes deadlock is detected exactly, the moment a worker blocks or finishes
 and leaves no unfinished worker able to run. A message still undelivered when
-a successful run ends is a protocol bug and fails the run.
+a successful run ends is a protocol bug and fails the run. Sends are tallied
+under the same condition variable and reach the ledger only when the run
+succeeds, so a failed run ledgers nothing.
 
 Determinism holds because worker programs are deterministic, channels are
 FIFO per (src, dst, tag), and no arithmetic here depends on arrival timing.
@@ -46,17 +48,21 @@ class DeviceSpec:
 
 
 class CommLedger:
-    """Per ordered link (src, dst): bytes sent and message count."""
+    """Per ordered link (src, dst): bytes sent and message count over the
+    fabric's successful runs.
+
+    A run's sends are tallied under the fabric's condition variable and added
+    here only when the run succeeds, so a failed run ledgers nothing. Writes
+    and reads both happen between runs, so the ledger needs no lock.
+    """
 
     def __init__(self):
         self._links: dict[tuple[int, int], list[int]] = {}
-        self._lock = threading.Lock()
 
     def record(self, src: int, dst: int, nbytes: int) -> None:
-        with self._lock:
-            entry = self._links.setdefault((src, dst), [0, 0])
-            entry[0] += nbytes
-            entry[1] += 1
+        entry = self._links.setdefault((src, dst), [0, 0])
+        entry[0] += nbytes
+        entry[1] += 1
 
     def link(self, src: int, dst: int) -> tuple[int, int]:
         entry = self._links.get((src, dst), (0, 0))
@@ -64,17 +70,14 @@ class CommLedger:
 
     @property
     def total_bytes(self) -> int:
-        with self._lock:
-            return sum(e[0] for e in self._links.values())
+        return sum(e[0] for e in self._links.values())
 
     @property
     def total_messages(self) -> int:
-        with self._lock:
-            return sum(e[1] for e in self._links.values())
+        return sum(e[1] for e in self._links.values())
 
     def snapshot(self) -> dict[tuple[int, int], tuple[int, int]]:
-        with self._lock:
-            return {k: (v[0], v[1]) for k, v in sorted(self._links.items())}
+        return {k: (v[0], v[1]) for k, v in sorted(self._links.items())}
 
 
 class MemoryMeter:
@@ -122,8 +125,8 @@ class Worker:
             if fab._error is not None:
                 raise _Abort()
             fab._channels.setdefault((self.wid, dst, tag), deque()).append(payload)
+            fab._tally.append((self.wid, dst, payload.size * fab.device.wire_element_size))
             fab._cond.notify_all()
-        fab.ledger.record(self.wid, dst, payload.size * fab.device.wire_element_size)
 
     def recv(self, src: int, tag) -> np.ndarray:
         fab = self.fabric
@@ -192,6 +195,7 @@ class Fabric:
         self._turn = 0
         self._blocked: dict[int, tuple | None] = {}
         self._finished: set[int] = set()
+        self._tally: list[tuple[int, int, int]] = []  # (src, dst, bytes) per send
 
     @property
     def num_links(self) -> int:
@@ -247,7 +251,8 @@ class Fabric:
         """Execute program(ctx, *args[wid]) on every worker; returns per-worker results.
 
         Raises the first failing worker's exception (lowest worker index wins)
-        after all threads have unwound.
+        after all threads have unwound. The run's sends reach the ledger only
+        if it succeeds: a failed run ledgers nothing and leaves no message.
         """
         if args is None:
             args = [() for _ in range(self.n)]
@@ -261,6 +266,7 @@ class Fabric:
             self._blocked = {}
             self._finished = set()
             self._turn = 0
+            self._tally = []
 
         def runner(wid: int):
             try:
@@ -295,6 +301,8 @@ class Fabric:
         if leftover:
             raise ParconvError("fabric run ended with undelivered messages (src, dst, tag): "
                                + ", ".join(sorted(leftover)))
+        for src, dst, nbytes in self._tally:
+            self.ledger.record(src, dst, nbytes)
         return results
 
 

@@ -445,16 +445,6 @@ def reference_step(
     return StepResult(loss=loss, params=lists_as_params(plist, cs), velocity=vlist)
 
 
-def _check_layout(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> None:
-    """Raise unless the fabric has the plan's workers and `cs` the plan's columns."""
-    if fabric.n != plan.workers:
-        raise ValidationError(
-            f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
-        )
-    if cs.columns != plan.model_columns:
-        raise ValidationError("columnized spec does not match the plan's column count")
-
-
 def setup_workers(
     fabric: Fabric,
     plan: ParallelPlan,
@@ -467,9 +457,20 @@ def setup_workers(
     Each worker keeps its parameters as one flat vector in pack_tree order,
     plus per-layer views of it for the engine; the column root (replica 0)
     also keeps a velocity vector of the same layout, which it updates with
-    `sgd`. Each also keeps `cs`, which every later call must pass again.
+    `sgd`. Each also records the layout (plan, cs), which every later call
+    must pass again. Raises unless the fabric has the plan's workers and `cs`
+    is `plan_columnized(net, plan)`: its column count and cross layers.
     """
-    _check_layout(fabric, plan, cs)
+    if fabric.n != plan.workers:
+        raise ValidationError(
+            f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
+        )
+    if cs != plan_columnized(cs.base, plan):
+        raise ValidationError(
+            f"columnized spec ({cs.columns} columns, cross layers {sorted(cs.cross_layers)}) "
+            f"is not plan_columnized(net, plan) for plan {plan.describe()} "
+            f"with cross layers {list(plan.cross_layers)}"
+        )
     m = plan.model_columns
     # built on the host: large buffers allocated in the short-lived worker
     # threads page-fault afresh on every set-up
@@ -486,18 +487,19 @@ def setup_workers(
         # accounted first: a set-up that does not fit leaves the worker empty
         accounted = ctx.alloc(flat.size * (1 if velocity is None else 2))
         replica, column = divmod(ctx.wid, m)
-        state.update(replica=replica, column=column, cs=cs, params=flat,
+        state.update(replica=replica, column=column, layout=(plan, cs), params=flat,
                      layers=unpack_tree(flat, cs), sgd=sgd, velocity=velocity, accounted=accounted)
 
     fabric.run(program, args)
 
 
-def _state(ctx: Worker, cs: ColumnizedSpec) -> dict:
-    """The worker's state from setup_workers; raises naming the worker if there is
-    none or if it was set up for a different columnized spec than `cs`."""
+def _state(ctx: Worker, plan: ParallelPlan, cs: ColumnizedSpec) -> dict:
+    """The worker's state from setup_workers, the one layout check of every entry
+    point; raises naming the worker if there is none or if it was set up for a
+    layout other than (plan, cs)."""
     if "params" not in ctx.local:
         raise ValidationError(f"worker {ctx.wid} has no parameters; run setup_workers first")
-    if ctx.local["cs"] != cs:
+    if ctx.local["layout"] != (plan, cs):
         raise ValidationError(
             f"worker {ctx.wid} was set up for a different plan or network; "
             f"run setup_workers with this one first"
@@ -514,7 +516,6 @@ def hybrid_step(
 ) -> StepResult:
     """One synchronous update under an arbitrary d x m plan (the general engine)."""
     d, m = plan.data_shards, plan.model_columns
-    _check_layout(fabric, plan, cs)
     b = batch_x.shape[0]
     shard = plan.shard(b)
     labels = np.asarray(batch_y, dtype=np.int64)
@@ -530,7 +531,7 @@ def hybrid_step(
     before_m = fabric.ledger.total_messages
 
     def program(ctx: Worker, shard_x, shard_y):
-        state = _state(ctx, cs)
+        state = _state(ctx, plan, cs)
         replica, column = state["replica"], state["column"]
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
@@ -560,8 +561,7 @@ def hybrid_step(
 
 def gather_dense_params(fabric: Fabric, plan: ParallelPlan, cs: ColumnizedSpec) -> ParamSet:
     """Merge replica 0's column parameters back into the dense layout (fresh copies)."""
-    _check_layout(fabric, plan, cs)
-    results = fabric.run(lambda ctx: _state(ctx, cs)["layers"])
+    results = fabric.run(lambda ctx: _state(ctx, plan, cs)["layers"])
     columns = [results[plan.worker_of(0, j)] for j in range(plan.model_columns)]
     return merge_params(columns, cs)
 
@@ -578,12 +578,11 @@ def evaluation_errors(
     Forward-only; argmax ties break to the lowest class index. The exchange
     traffic is ledgered like any other fabric communication.
     """
-    _check_layout(fabric, plan, cs)
     m = plan.model_columns
     labels = np.asarray(labels, dtype=np.int64)
 
     def program(ctx: Worker):
-        state = _state(ctx, cs)
+        state = _state(ctx, plan, cs)
         if state["replica"] != 0:
             return None
         column = state["column"]

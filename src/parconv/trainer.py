@@ -26,11 +26,10 @@ from .errors import InfeasiblePlanError, ValidationError
 from .fabric import DeviceSpec, Fabric, spawn
 from .kernels import SgdState
 from .metrics import MetricsRecord
-from .netdef import DEFAULT_MEMORY, NetworkSpec, columnize, worker_footprint_bytes
+from .netdef import DEFAULT_MEMORY, NetworkSpec, worker_footprint_bytes
 from .schemes import (
     ParallelPlan,
     ParamSet,
-    column_forward,
     evaluation_errors,
     gather_dense_params,
     hybrid_step,
@@ -169,24 +168,6 @@ def _fabric_error_rate(
     for lo in range(0, test.size, eval_batch):
         hi = min(lo + eval_batch, test.size)
         wrong += evaluation_errors(fabric, plan, cs, test.images[lo:hi], test.labels[lo:hi])
-    return wrong / test.size
-
-
-def evaluate(net: NetworkSpec, params: ParamSet, test: Dataset) -> float:
-    """Error rate of dense parameters on a test split (host-side forward).
-
-    Argmax ties break to the lowest class index, matching np.argmax.
-    """
-    _check_split(net, test, "test")
-    cs = columnize(net, 1)
-    wrong = 0
-    for lo in range(0, test.size, 256):
-        hi = min(lo + 256, test.size)
-        x = test.images[lo:hi]
-        labels = test.labels[lo:hi]
-        logits, _, _ = column_forward(cs, params, x, None)
-        predictions = np.argmax(logits, axis=1)
-        wrong += int(np.count_nonzero(predictions != labels))
     return wrong / test.size
 
 

@@ -303,6 +303,7 @@ def test_failed_run_leaves_no_stale_messages(sched):
 
     with pytest.raises(ValueError, match="boom"):
         fab.run(failing)
+    assert fab.ledger.snapshot() == {}  # a failed run ledgers nothing
 
     def program(ctx):
         if ctx.wid == 0:
@@ -311,6 +312,7 @@ def test_failed_run_leaves_no_stale_messages(sched):
         return ctx.recv(0, "t").item()
 
     assert fab.run(program)[1] == 2.0
+    assert fab.ledger.snapshot() == {(0, 1): (fab.device.wire_element_size, 1)}
 
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from parconv import kernels, schemes
 from parconv.errors import CapacityError, ValidationError
-from parconv.fabric import DeviceSpec, spawn
+from parconv.fabric import DeviceSpec, Fabric, Worker, spawn
 from parconv.kernels import SgdState, conv2d_backward
 from parconv.netdef import columnize, load_network, parse_network
 from parconv.schemes import (
@@ -241,13 +242,17 @@ def test_data_parallel_requires_divisible_batch():
 
 
 def test_wrapper_plan_validation():
-    fab = spawn(2)
-    cs = plan_columnized(TINY, ParallelPlan(2, 1))
-    x, y = make_batch(TINY, 4)
-    with pytest.raises(ValidationError, match="column count"):
-        hybrid_step(fab, ParallelPlan(1, 2, (3,)), cs, x, y)
+    dense, sgd = init_dense_params(TINY, 0), SgdState()
+    d1m2 = ParallelPlan(1, 2, (3,))
+    with pytest.raises(ValidationError, match=r"\(1 columns.*not plan_columnized.*plan d1xm2"):
+        setup_workers(spawn(2), d1m2, plan_columnized(TINY, ParallelPlan(2, 1)), dense, sgd)
     with pytest.raises(ValidationError, match="workers"):
-        hybrid_step(spawn(3), ParallelPlan(2, 2, (3,)), plan_columnized(TINY, ParallelPlan(2, 2, (3,))), x, y)
+        setup_workers(spawn(3), ParallelPlan(2, 2, (3,)),
+                      plan_columnized(TINY, ParallelPlan(2, 2, (3,))), dense, sgd)
+    # the plan's column count without its cross layer: trained, it would ledger
+    # half of what comm_volume says
+    with pytest.raises(ValidationError, match=r"plan d1xm2 with cross layers \[3\]"):
+        setup_workers(spawn(2), d1m2, columnize(TINY, 2), dense, sgd)
 
 
 def test_failed_step_gives_back_accounted_memory():
@@ -329,6 +334,81 @@ def test_plan_other_than_the_set_up_one_is_named(call, sched):
     with pytest.raises(ValidationError, match="worker 0 was set up for a different plan"):
         call(fab, other, plan_columnized(TINY, other), x, y)
     assert hybrid_step(fab, setup, plan_columnized(TINY, setup), x, y).loss > 0
+
+
+PAPER_PLANS = [ParallelPlan(1, 1), ParallelPlan(2, 1), ParallelPlan(1, 2, (3,)),
+               ParallelPlan(2, 2, (3,)), ParallelPlan(4, 1)]
+
+
+class Injected(Exception):
+    """The fault the injection test raises inside one worker."""
+
+
+@st.composite
+def faults(draw):
+    """(plan, scheduler, worker, site, k): the worker raises on its k-th call of site."""
+    plan = draw(st.sampled_from(PAPER_PLANS))
+    return (plan, draw(st.sampled_from(["lockstep", "threads"])),
+            draw(st.integers(0, plan.workers - 1)),
+            draw(st.sampled_from(["send", "recv", "relu_backward"])), draw(st.integers(0, 3)))
+
+
+@given(fault=faults())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_failed_step_leaves_the_fabric_as_found(fault):
+    """A step whose worker raises on its k-th send, recv or relu_backward raises that
+    error and leaves no message, ledgered byte or accounted byte behind; after a
+    fresh set-up the fabric trains bit-identically to one that never failed. A
+    worker making k calls or fewer just finishes the step."""
+    plan, sched, victim, site, k = fault
+    cs = plan_columnized(TINY, plan)
+    batches = [make_batch(TINY, 8, seed) for seed in range(4)]
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    hybrid_step(fab, plan, cs, *batches[0])
+    ledger, meter = fab.ledger.snapshot(), list(fab.meter.current)
+
+    tls, calls = threading.local(), [0]
+    run = Fabric.run
+
+    def tagged_run(fabric, program, args=None):
+        def tagged(ctx, *a):
+            tls.wid = ctx.wid
+            return program(ctx, *a)
+        return run(fabric, tagged, args)
+
+    def faulty(fn):
+        def call(*args, **kwargs):
+            if getattr(tls, "wid", None) == victim:
+                if calls[0] == k:
+                    raise Injected(f"worker {victim}: {site} call {k}")
+                calls[0] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    owner = schemes if site == "relu_backward" else Worker
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fabric, "run", tagged_run)
+        mp.setattr(owner, site, faulty(getattr(owner, site)))
+        try:
+            hybrid_step(fab, plan, cs, *batches[1])
+        except Injected as err:
+            assert str(err) == f"worker {victim}: {site} call {k}"
+            assert not any(fab._channels.values())
+            assert fab.ledger.snapshot() == ledger
+            assert fab.meter.current == meter
+
+    def train_afresh(fabric):
+        setup_workers(fabric, plan, cs, init_dense_params(TINY, 0), SgdState())
+        steps = []
+        for x, y in batches[2:]:
+            before = fabric.ledger.snapshot()
+            loss = hybrid_step(fabric, plan, cs, x, y).loss
+            steps.append((loss, link_delta(before, fabric.ledger.snapshot())))
+        params = gather_dense_params(fabric, plan, cs)
+        return steps, {(i, key): t[key].tobytes() for i, t in params.items() for key in ("w", "b")}
+
+    assert train_afresh(fab) == train_afresh(spawn(plan.workers, scheduling=sched))
 
 
 @pytest.mark.parametrize("plan", [ParallelPlan(2, 2, (3,)), ParallelPlan(4, 1)], ids=["d2m2", "d4m1"])

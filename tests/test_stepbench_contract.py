@@ -3,13 +3,15 @@
 silently zero its metrics, so the names are checked here, in tier-1."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from parconv import fabric, schemes
+from parconv import fabric, gen_synthetic, load_plan, rng, schemes, spawn
 from parconv.kernels import SgdState
-from parconv.netdef import load_network
+from parconv.netdef import load_network, worker_footprint_bytes
 
 from oracles import CONFIGS
 
@@ -60,3 +62,34 @@ def test_tracer_spans_every_patched_name_and_restores_originals():
     # every name the tracer wraps in parconv.schemes is still called somewhere
     spanned = {s.name for s in tracer.spans}
     assert {*tr.KERNELS, *tr.SCHEME_CALLS, *tr.EXCHANGE} <= spanned
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_benchmark_entry_points_keep_their_call_shapes(sched):
+    """stepbench/run.py calls the entry points positionally; a changed signature
+    would first show up as a failed benchmark run. tinynet under d2m2, each call
+    made as run.py makes it."""
+    net = load_network(CONFIGS / "tinynet.net")
+    plan = load_plan(TRACER_PATH.parent / "configs" / "d2m2.plan")
+    batch, shard = 8, 8 // plan.data_shards
+    cs = schemes.plan_columnized(net, plan)
+    train, test = gen_synthetic(net.classes, 2, net.input_shape, 1, 1)
+    order = rng.permutation(1, 0, train.size)
+    assert sorted(order) == list(range(train.size))
+    dense = schemes.init_dense_params(net, 1)
+    fab = spawn(plan.workers, scheduling=sched)
+
+    schemes.setup_workers(fab, plan, cs, dense, SgdState())
+    x, y = train.images[order[:batch]], train.labels[order[:batch]]
+    res = schemes.hybrid_step(fab, plan, cs, x, y)
+    vol = schemes.comm_volume(plan, net, batch)
+    assert math.isfinite(res.loss)
+    assert (res.ledger_bytes, res.ledger_messages) == (vol.bytes, vol.messages)
+    assert [ph.label for ph in schemes.comm_phases(plan, cs, batch)] == [
+        "cross3-fwd", "cross5-fwd", "cross7-fwd", "cross7-bwd", "cross5-bwd", "cross3-bwd",
+        "grad-reduce", "param-broadcast"]
+    assert 0 <= schemes.evaluation_errors(fab, plan, cs, test.images[:shard],
+                                          test.labels[:shard]) <= shard
+    gathered = schemes.gather_dense_params(fab, plan, cs)
+    assert all(gathered[i]["w"].shape == dense[i]["w"].shape for i in dense)
+    assert max(fab.meter.peak) == worker_footprint_bytes(cs, shard, holds_velocity=True)

@@ -5,11 +5,12 @@ from parconv import rng
 from parconv.costmodel import CostParams, step_time
 from parconv.data import Dataset, gen_synthetic
 from parconv.errors import InfeasiblePlanError, ValidationError
+from parconv.fabric import spawn
 from parconv.kernels import SgdState
 from parconv.metrics import emit_csv
 from parconv.netdef import columnize, load_network, worker_footprint_bytes
-from parconv.schemes import ParallelPlan, init_dense_params
-from parconv.trainer import TrainConfig, evaluate, run_equivalence, train
+from parconv.schemes import ParallelPlan, init_dense_params, plan_columnized, setup_workers
+from parconv.trainer import TrainConfig, _fabric_error_rate, run_equivalence, train
 
 from oracles import CONFIGS
 
@@ -73,8 +74,6 @@ def test_test_split_sample_shape_rejected_up_front(blobs10):
     _, small = gen_synthetic(10, 2, (3, 8, 8), seed=1)
     with pytest.raises(ValidationError, match=r"test split samples are \(3, 8, 8\)"):
         config(train_data, small)
-    with pytest.raises(ValidationError, match=r"test split samples are \(3, 8, 8\)"):
-        evaluate(TINY, init_dense_params(TINY, 0), small)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +184,15 @@ def test_memory_window_rejects_full_model_but_trains_columns(blobs10):
 # ---------------------------------------------------------------------------
 
 
+def d1m1_error_rate(net, params, test, eval_batch=256):
+    """Error rate of dense parameters on a fresh one-worker fabric."""
+    plan = ParallelPlan(1, 1)
+    cs = plan_columnized(net, plan)
+    fab = spawn(1)
+    setup_workers(fab, plan, cs, params, SgdState())
+    return _fabric_error_rate(fab, plan, cs, test, eval_batch)
+
+
 def test_evaluate_all_correct_is_zero():
     net = TINY2
     params = init_dense_params(net, 0)
@@ -196,9 +204,9 @@ def test_evaluate_all_correct_is_zero():
     logits_bias = params[max(params)]["b"]
     correct = Dataset(train_data.images, np.zeros(train_data.size, dtype=np.int64), 2)
     logits_bias[0] = 1.0  # always predict class 0
-    assert evaluate(net, params, correct) == 0.0
+    assert d1m1_error_rate(net, params, correct) == 0.0
     all_wrong = Dataset(train_data.images, np.ones(train_data.size, dtype=np.int64), 2)
-    assert evaluate(net, params, all_wrong) == 1.0
+    assert d1m1_error_rate(net, params, all_wrong) == 1.0
 
 
 def test_evaluate_uniform_logits_random_labels():
@@ -212,24 +220,17 @@ def test_evaluate_uniform_logits_random_labels():
     labels = rng.derive(123, 9).next_u64_array(n) % k
     images = np.zeros((n, 3, 16, 16))
     ds = Dataset(images, labels.astype(np.int64), k)
-    err = evaluate(net, params, ds)
+    err = d1m1_error_rate(net, params, ds)
     assert abs(err - (1 - 1 / k)) < 0.05
 
 
-def test_evaluate_empty_split_rejected():
-    params = init_dense_params(TINY, 0)
-    empty = Dataset(np.zeros((0, 3, 16, 16)), np.zeros(0, dtype=np.int64), 10)
-    with pytest.raises(ValidationError, match="empty"):
-        evaluate(TINY, params, empty)
-
-
-def test_fabric_and_host_evaluation_agree(blobs10):
+def test_fresh_d1m1_fabric_reproduces_the_trained_test_error(blobs10):
     train_data, test_data = blobs10
     cfg = config(train_data, test_data, plan=PLANS[2], epochs=1)
     result = train(cfg)
-    host_err = evaluate(TINY, result.final_params, test_data)
+    fresh_err = d1m1_error_rate(TINY, result.final_params, test_data, cfg.batch)
     fabric_err = [r.test_error for r in result.records if r.test_error is not None][-1]
-    assert host_err == fabric_err
+    assert fresh_err == fabric_err
 
 
 # ---------------------------------------------------------------------------
