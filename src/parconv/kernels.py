@@ -10,21 +10,22 @@ check that a window tiles its input.
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
 Processing" (2006). A conv unfolds its input once per use (im2col, laid out
-(b, C*k*k, H'*W') per block of samples): the forward is one matmul per sample
-with w as (N, C*k*k), and the weight gradient sums grad_out @ columns^T over
-the samples. The input gradient is a transposed convolution (Dumoulin &
-Visin, "A guide to convolution arithmetic for deep learning", 2016): a
-stride-1 correlation of grad_out, spread out by the stride and offset by
-k-1-pad, with w flipped and transposed to (C, N*k*k), so it is one more
+(C*k*k, H'*W') per sample): the forward is one matmul per sample with w as
+(N, C*k*k), and the weight gradient sums grad_out @ columns^T over the
+samples, in sample order. The input gradient is a transposed convolution
+(Dumoulin & Visin, "A guide to convolution arithmetic for deep learning",
+2016): a stride-1 correlation of grad_out, spread out by the stride and offset
+by k-1-pad, with w flipped and transposed to (C, N*k*k), so it is one more
 im2col and one more matmul, with no scatter back onto the input. A stride-s
 conv's input gradient thus runs about s*s times the forward's multiply-adds,
 most of them on the zeros between spread entries.
 
-Every unfold works on blocks of samples: as many as fit, with their padded
-or spread frame (and the weight gradient's per-sample products), in
-WORK_BYTES, about one L2 cache; a sample that needs more is a block of its
-own. Each call allocates one buffer for its blocks and reuses it from block
-to block; the block size depends on the shapes and WORK_BYTES only.
+Every unfold works one sample at a time, in one padded or spread frame and one
+column buffer that each call allocates and reuses from sample to sample. A
+sample's frame and columns are small (0.36-0.99 MB on midnet's layers, within
+a 2 MiB L2 cache), so its columns are still cached when its GEMM reads them,
+where blocks of several samples spill; and the per-sample GEMM is the one a
+batched matmul runs anyway, so the unfold needs no size rule.
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -102,8 +103,6 @@ def _pin_malloc() -> bool | None:
 
 MALLOC_PINNED = _pin_malloc()
 
-WORK_BYTES = 4 * 2**20  # conv unfold scratch, about one L2 cache: sets every block's size
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -169,43 +168,26 @@ def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]
     return slice(first, stop), slice(start, start + (stop - first - 1) * step + 1, step)
 
 
-def _unfolded(
-    a: np.ndarray,
-    k: int,
-    stride: int,
-    offset: int,
-    step: int,
-    frame: tuple[int, int],
-    extra: int,
-):
-    """im2col of a (B, C, h, w) array, in blocks of samples.
+def _unfolded(a: np.ndarray, k: int, stride: int, offset: int, step: int, frame: tuple[int, int]):
+    """im2col of a (B, C, h, w) array, one sample at a time.
 
-    Each block is placed into a zeroed (b, C, *frame) frame, entry (y, x) at
+    Each sample is placed into a zeroed (1, C, *frame) frame, entry (y, x) at
     (offset + y*step, offset + x*step), dropping what falls outside; the
-    frame's k x k windows at `stride` are copied out as (b, C*k*k, H'*W')
-    columns. Frame, columns and `extra` spare elements per sample share one
-    buffer; a block is as many samples as fit in WORK_BYTES (at least one).
-    Yields (lo, hi, columns, spare) for samples lo..hi-1; each block's views
-    are overwritten by the next.
+    frame's k x k windows at `stride` are copied out as (C*k*k, H'*W')
+    columns. Yields (s, columns) for sample s; one frame and one column buffer
+    serve every sample, so each sample's columns are overwritten by the next.
+    Every sample writes the same frame entries, so the rest stay zero.
     """
     batch, c, h, w = a.shape
-    fh, fw = frame
-    ho, wo = conv_output_size(fh, k, stride, 0), conv_output_size(fw, k, stride, 0)
-    frame_n, cols_n = c * fh * fw, c * k * k * ho * wo
-    per_sample = frame_n + cols_n + extra
-    block = max(1, min(batch, WORK_BYTES // FLOAT().itemsize // per_sample))
-    buf = np.empty(block * per_sample, dtype=FLOAT)
-    ys, fy = _placement(h, step, offset, fh)
-    xs, fx = _placement(w, step, offset, fw)
-    for lo in range(0, batch, block):
-        n = min(block, batch - lo)
-        framed = buf[: n * frame_n].reshape(n, c, fh, fw)
-        cols = buf[n * frame_n : n * (frame_n + cols_n)].reshape(n, c, k, k, ho, wo)
-        framed.fill(0.0)
-        framed[:, :, fy, fx] = a[lo : lo + n, :, ys, xs]
-        np.copyto(cols, _windows(framed, k, stride).transpose(0, 1, 4, 5, 2, 3))
-        spare = buf[n * (frame_n + cols_n) : n * per_sample]
-        yield lo, lo + n, cols.reshape(n, c * k * k, ho * wo), spare
+    framed = np.zeros((1, c, *frame), dtype=FLOAT)
+    windows = _windows(framed, k, stride)[0].transpose(0, 3, 4, 1, 2)
+    cols = np.empty(windows.shape, dtype=FLOAT)  # (C, k, k, H', W')
+    ys, fy = _placement(h, step, offset, frame[0])
+    xs, fx = _placement(w, step, offset, frame[1])
+    for s in range(batch):
+        framed[0, :, fy, fx] = a[s, :, ys, xs]
+        np.copyto(cols, windows)
+        yield s, cols.reshape(c * k * k, -1)
 
 
 def conv2d_forward(
@@ -224,8 +206,8 @@ def conv2d_forward(
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
     wmat = w.reshape(n, c * k * k)
     frame = (h + 2 * pad, wd + 2 * pad)
-    for lo, hi, cols, _ in _unfolded(x, k, stride, pad, 1, frame, 0):
-        np.matmul(wmat, cols, out=out[lo:hi])
+    for s, cols in _unfolded(x, k, stride, pad, 1, frame):
+        np.matmul(wmat, cols, out=out[s])
     out += b[None, :, None]
     return out.reshape(batch, n, ho, wo)
 
@@ -255,10 +237,8 @@ def conv2d_backward(
     grad_bias = go.sum(axis=(0, 2))
     grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
     frame = (h + 2 * pad, wd + 2 * pad)
-    for lo, hi, cols, spare in _unfolded(x, k, stride, pad, 1, frame, n * c * k * k):
-        per_sample = spare.reshape(hi - lo, n, c * k * k)
-        np.matmul(go[lo:hi], cols.transpose(0, 2, 1), out=per_sample)
-        grad_w += per_sample.sum(axis=0)
+    for s, cols in _unfolded(x, k, stride, pad, 1, frame):
+        grad_w += go[s] @ cols.T
     grad_w = grad_w.reshape(w.shape)
     if not input_grad:
         return None, grad_w, grad_bias
@@ -267,8 +247,8 @@ def conv2d_backward(
     wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, n * k * k)
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
-    for lo, hi, cols, _ in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, 0):
-        np.matmul(wt, cols, out=grad_x[lo:hi])
+    for s, cols in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame):
+        np.matmul(wt, cols, out=grad_x[s])
     return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
 
 

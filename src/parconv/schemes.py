@@ -495,14 +495,19 @@ def setup_workers(
 
 def _state(ctx: Worker, plan: ParallelPlan, cs: ColumnizedSpec) -> dict:
     """The worker's state from setup_workers, the one layout check of every entry
-    point; raises naming the worker if there is none or if it was set up for a
-    layout other than (plan, cs)."""
+    point; raises naming the worker if there is none, if it was set up for a
+    layout other than (plan, cs), or if its last step stopped part way (its
+    parameters may then differ from its replicas')."""
     if "params" not in ctx.local:
         raise ValidationError(f"worker {ctx.wid} has no parameters; run setup_workers first")
     if ctx.local["layout"] != (plan, cs):
         raise ValidationError(
             f"worker {ctx.wid} was set up for a different plan or network; "
             f"run setup_workers with this one first"
+        )
+    if "stepping" in ctx.local:
+        raise ValidationError(
+            f"worker {ctx.wid} did not finish its last step; run setup_workers first"
         )
     return ctx.local
 
@@ -532,6 +537,7 @@ def hybrid_step(
 
     def program(ctx: Worker, shard_x, shard_y):
         state = _state(ctx, plan, cs)
+        state["stepping"] = True  # until the step ends: a step cut short leaves it
         replica, column = state["replica"], state["column"]
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         loss, grads = column_fwd_bwd(
@@ -546,6 +552,7 @@ def hybrid_step(
             ctx.broadcast_from_root(group, root, state["params"])
         else:  # in place, so the per-layer views follow
             state["params"][...] = ctx.broadcast_from_root(group, root, None)
+        del state["stepping"]
         return loss
 
     results = fabric.run(program, args)

@@ -221,7 +221,6 @@ def run_equivalence(
     seed: int = 0,
     batch: int = 8,
     scheduling: str = "lockstep",
-    data: Dataset | None = None,
 ) -> list[Divergence]:
     """Train every plan on the identical batch sequence and compare per-update
     losses and final parameters against the single-worker reference."""
@@ -229,8 +228,7 @@ def run_equivalence(
         raise ValidationError(f"steps must be >= 1, got {steps}")
     for plan in plans:
         plan.shard(batch)  # before any training
-    if data is None:
-        data = equivalence_data(net, batch, seed)
+    data = equivalence_data(net, batch, seed)
     batches = [chosen for _, chosen in itertools.islice(_batches(seed, data.size, batch), steps)]
 
     ref_params, ref_velocity = init_dense_params(net, seed), None

@@ -221,17 +221,12 @@ def test_conv_input_gradient_matches_scatter_oracle():
     assert wide_pads > 0
 
 
-@pytest.mark.parametrize(
-    "batch, work_bytes",
-    [(5, 2**16), (7, 2**15), (3, 8), (4, kernels.WORK_BYTES)],
-    ids=["scratch-64KiB", "scratch-32KiB", "sample-beyond-scratch", "default-scratch"],
-)
+@pytest.mark.parametrize("batch", [1, 4, 7], ids=["batch1", "batch4", "batch7"])
 @pytest.mark.parametrize("stride, pad", [(1, 2), (2, 1), (3, 0)])
-def test_conv_block_rule_matches_oracles(monkeypatch, batch, work_bytes, stride, pad):
-    """Blocks are cut by WORK_BYTES alone, also when the batch does not divide
-    into whole blocks or one sample needs more than the scratch: forward and
-    all three gradients stay within 1e-12 of loop and einsum oracles."""
-    monkeypatch.setattr(kernels, "WORK_BYTES", work_bytes)
+def test_conv_per_sample_unfold_matches_oracles(batch, stride, pad):
+    """One sample per unfold, through a frame and columns that every sample
+    reuses: forward and all three gradients stay within 1e-12 of loop and
+    einsum oracles, for one sample and for several."""
     rs = R(stride * 10 + pad)
     x = rs.randn(batch, 3, 9, 9)
     w, b = rs.randn(4, 3, 3, 3), rs.randn(4)
@@ -250,6 +245,25 @@ def test_conv_block_rule_matches_oracles(monkeypatch, batch, work_bytes, stride,
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_batch_is_its_samples_bit_for_bit():
+    """A midnet layer-3 shape: each sample's forward and input gradient equal its
+    slice of the batch call, and the batch weight gradient equals the running
+    in-order sum of the single-sample ones, bit for bit."""
+    rs = R(13)
+    x, w, b = rs.randn(32, 16, 12, 12), rs.randn(32, 16, 5, 5), rs.randn(32)
+    out = conv2d_forward(x, w, b, 1, 2)
+    g = rs.randn(*out.shape)
+    gx, gw, _ = conv2d_backward(x, w, g, 1, 2)
+    running = np.zeros_like(gw)
+    for s in range(32):
+        one = conv2d_forward(x[s : s + 1], w, b, 1, 2)
+        gx_one, gw_one, _ = conv2d_backward(x[s : s + 1], w, g[s : s + 1], 1, 2)
+        assert one.tobytes() == out[s : s + 1].tobytes()
+        assert gx_one.tobytes() == gx[s : s + 1].tobytes()
+        running += gw_one
+    assert running.tobytes() == gw.tobytes()
 
 
 def test_conv_empty_batch():

@@ -357,9 +357,10 @@ def faults(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_failed_step_leaves_the_fabric_as_found(fault):
     """A step whose worker raises on its k-th send, recv or relu_backward raises that
-    error and leaves no message, ledgered byte or accounted byte behind; after a
-    fresh set-up the fabric trains bit-identically to one that never failed. A
-    worker making k calls or fewer just finishes the step."""
+    error and leaves no message, ledgered byte or accounted byte behind; the next
+    step is refused, and after a fresh set-up the fabric trains bit-identically
+    to one that never failed. A worker making k calls or fewer just finishes the
+    step."""
     plan, sched, victim, site, k = fault
     cs = plan_columnized(TINY, plan)
     batches = [make_batch(TINY, 8, seed) for seed in range(4)]
@@ -387,6 +388,7 @@ def test_failed_step_leaves_the_fabric_as_found(fault):
         return call
 
     owner = schemes if site == "relu_backward" else Worker
+    failed = False
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Fabric, "run", tagged_run)
         mp.setattr(owner, site, faulty(getattr(owner, site)))
@@ -397,6 +399,10 @@ def test_failed_step_leaves_the_fabric_as_found(fault):
             assert not any(fab._channels.values())
             assert fab.ledger.snapshot() == ledger
             assert fab.meter.current == meter
+            failed = True
+    if failed:
+        with pytest.raises(ValidationError, match="run setup_workers first"):
+            hybrid_step(fab, plan, cs, *batches[1])
 
     def train_afresh(fabric):
         setup_workers(fabric, plan, cs, init_dense_params(TINY, 0), SgdState())
@@ -409,6 +415,36 @@ def test_failed_step_leaves_the_fabric_as_found(fault):
         return steps, {(i, key): t[key].tobytes() for i, t in params.items() for key in ("w", "b")}
 
     assert train_afresh(fab) == train_afresh(spawn(plan.workers, scheduling=sched))
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_root_failing_after_its_update_is_refused_until_set_up(monkeypatch, sched):
+    """Column root worker 0 raises on its broadcast, after its sgd_step, so its
+    parameters are ahead of replica worker 2's: every entry point refuses the
+    torn fabric, naming worker 0, until setup_workers runs again."""
+    plan = ParallelPlan(2, 2, (3,))
+    cs = plan_columnized(TINY, plan)
+    x, y = make_batch(TINY, 8)
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    send = Worker.send
+
+    def failing_send(ctx, dst, tag, value):
+        if ctx.wid == 0 and tag == "bcast":
+            raise Injected("worker 0: bcast")
+        return send(ctx, dst, tag, value)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Worker, "send", failing_send)
+        with pytest.raises(Injected):
+            hybrid_step(fab, plan, cs, x, y)
+    for call in (lambda: hybrid_step(fab, plan, cs, x, y),
+                 lambda: evaluation_errors(fab, plan, cs, x, y),
+                 lambda: gather_dense_params(fab, plan, cs)):
+        with pytest.raises(ValidationError, match="worker 0 did not finish its last step"):
+            call()
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    assert hybrid_step(fab, plan, cs, x, y).loss > 0
 
 
 @pytest.mark.parametrize("plan", [ParallelPlan(2, 2, (3,)), ParallelPlan(4, 1)], ids=["d2m2", "d4m1"])
@@ -433,8 +469,9 @@ def test_midnet_schedulers_bit_identical(plan):
 
 @pytest.mark.parametrize(
     "plan, sched",
-    [(ParallelPlan(1, 1), "lockstep"), (ParallelPlan(1, 2, (3,)), "threads")],
-    ids=["d1m1-lockstep", "d1m2-threads"],
+    [(ParallelPlan(1, 1), "lockstep"), (ParallelPlan(1, 2, (3,)), "threads"),
+     (ParallelPlan(2, 2, (3,)), "threads"), (ParallelPlan(4, 1), "threads")],
+    ids=["d1m1-lockstep", "d1m2-threads", "d2m2-threads", "d4m1-threads"],
 )
 def test_warm_updates_barely_fault(plan, sched):
     """With malloc pinned (kernels.MALLOC_PINNED), a warm midnet update at batch 32
