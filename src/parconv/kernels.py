@@ -9,16 +9,36 @@ check that a window tiles its input.
 
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
-Processing" (2006). A conv unfolds its input once per use (im2col, laid out
-(C*k*k, H'*W') per sample): the forward is one matmul per sample with w as
-(N, C*k*k), and the weight gradient sums grad_out @ columns^T over the
-samples, in sample order. The input gradient is a transposed convolution
-(Dumoulin & Visin, "A guide to convolution arithmetic for deep learning",
-2016): a stride-1 correlation of grad_out, spread out by the stride and offset
-by k-1-pad, with w flipped and transposed to (C, N*k*k), so it is one more
-im2col and one more matmul, with no scatter back onto the input. A stride-s
-conv's input gradient thus runs about s*s times the forward's multiply-adds,
-most of them on the zeros between spread entries.
+Processing" (2006). Each conv call unfolds (im2col) exactly one array. The
+forward unfolds x into (C*k*k, H'*W') columns per sample and is one matmul
+per sample with w as (N, C*k*k).
+
+The backward unfolds grad_out when it computes the input gradient. That
+gradient is a transposed convolution (Dumoulin & Visin, "A guide to
+convolution arithmetic for deep learning", 2016): a stride-1 correlation of
+grad_out, spread out by the stride and offset by k-1-pad, with w flipped and
+transposed to (C, N*k*k). Its columns G, (N*k*k, H*W) per sample, feed one
+matmul per sample, with no scatter back onto the input. The same G gives the
+weight gradient, as Mathieu, Henaff & LeCun ("Fast Training of Convolutional
+Networks through FFTs", 2013) reuse one transform of each array across all
+three passes. With spread(g)[n, y*s, x*s] = g[n, y, x] and zero elsewhere,
+
+    grad_w[n,c,i,j] = sum_{y,x} g[n,y,x] * x[c, y*s+i-pad, x*s+j-pad]
+                    = sum_{u,v} x[c,u,v] * spread(g)[n, u+pad-i, v+pad-j],
+
+and row (n, i', j') of G holds spread(g)[n, u+i'-(k-1-pad), v+j'-(k-1-pad)]
+in column (u, v), so row (n, k-1-i, k-1-j) is the one that tap (i, j) needs:
+grad_w is sum_s G @ x[s]^T, an (N*k*k, C) array in sample order, with its
+taps flipped back. A stride-s conv's input and weight gradients thus run
+about s*s times the forward's multiply-adds, most of them on the zeros between
+spread entries; no shipped network has such a layer, since alexnet's stride-4
+conv is its layer 0.
+
+Without the input gradient (a network's first conv) the backward unfolds x
+instead, as the forward does, and sums grad_out @ columns^T over the samples
+in sample order; G would have N/C times as many rows (5.3x on midnet's layer
+0). The two routes sum the same products in different orders, so on float
+data their weight gradients agree to rounding, not bit for bit.
 
 Every unfold works one sample at a time, in one padded or spread frame and one
 column buffer that each call allocates and reuses from sample to sample. A
@@ -222,8 +242,10 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias.
 
-    With input_grad=False the input gradient is not computed and comes back
-    as None; the weight and bias gradients are the same either way.
+    Unfolds one array: grad_out, whose columns give both the input and the
+    weight gradient, or, with input_grad=False, x, for the weight gradient
+    alone; the input gradient then comes back as None. The two routes' weight
+    gradients agree to rounding; the bias gradients are the same.
     """
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
@@ -235,21 +257,25 @@ def conv2d_backward(
     )
     go = grad_out.reshape(batch, n, ho * wo)
     grad_bias = go.sum(axis=(0, 2))
-    grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
-    frame = (h + 2 * pad, wd + 2 * pad)
-    for s, cols in _unfolded(x, k, stride, pad, 1, frame):
-        grad_w += go[s] @ cols.T
-    grad_w = grad_w.reshape(w.shape)
     if not input_grad:
-        return None, grad_w, grad_bias
+        grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
+        frame = (h + 2 * pad, wd + 2 * pad)
+        for s, cols in _unfolded(x, k, stride, pad, 1, frame):
+            grad_w += go[s] @ cols.T
+        return None, grad_w.reshape(w.shape), grad_bias
     # the transposed conv: a stride-1 correlation of grad_out, spread by the
-    # stride and offset by k-1-pad, with w flipped and transposed to (C, N*k*k)
+    # stride and offset by k-1-pad, with w flipped and transposed to (C, N*k*k);
+    # row (n, i', j') of its columns pairs with weight tap (n, :, k-1-i', k-1-j')
     wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, n * k * k)
+    xs = x.reshape(batch, c, h * wd)
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
+    grad_wt = np.zeros((n * k * k, c), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
     for s, cols in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame):
         np.matmul(wt, cols, out=grad_x[s])
-    return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
+        grad_wt += cols @ xs[s].T
+    grad_w = grad_wt.reshape(n, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+    return grad_x.reshape(batch, c, h, wd), np.ascontiguousarray(grad_w), grad_bias
 
 
 # ---------------------------------------------------------------------------

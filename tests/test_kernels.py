@@ -179,7 +179,10 @@ def test_conv_backward_finite_difference():
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (4, 0)])
-def test_conv_backward_without_input_grad_is_bitwise_the_same(stride, pad):
+def test_conv_backward_paths_agree_on_float_data(stride, pad):
+    """With the input gradient the weight gradient comes from grad_out's
+    columns, without it from x's: the same products summed in another order, so
+    on float data they agree to rounding, and the bias gradients bitwise."""
     rs = R(4)
     x = rs.randn(3, 4, 7, 7)
     w = rs.randn(5, 4, 3, 3)
@@ -188,17 +191,17 @@ def test_conv_backward_without_input_grad_is_bitwise_the_same(stride, pad):
     _, gw, gb = conv2d_backward(x, w, g, stride, pad)
     skipped, gw2, gb2 = conv2d_backward(x, w, g, stride, pad, input_grad=False)
     assert skipped is None
-    assert gw2.tobytes() == gw.tobytes() and gw2.shape == gw.shape
+    assert gw2.shape == gw.shape
+    assert np.max(np.abs(gw2 - gw)) <= 1e-14 * np.max(np.abs(gw))
     assert gb2.tobytes() == gb.tobytes() and gb2.shape == gb.shape
 
 
-def test_conv_input_gradient_matches_scatter_oracle():
-    """The transposed conv against scattering each window's gradient back onto the
-    pixels it covers, over random (k, stride, pad): overlapping (stride < k),
+def _integer_geometries():
+    """80 random (k, stride, pad) with integer-valued x, weights and upstream
+    gradient, as (k, stride, pad, x, weights, g): overlapping (stride < k),
     abutting and gapped (stride > k) windows, and pads as wide as the window.
-    Integer-valued weights and gradients make every sum exact, so the match is
-    bitwise."""
-    kinds, wide_pads = set(), 0
+    Every sum of their products is exact, so any summing order gives the same
+    bits."""
     for t in range(80):
         rs = R(2000 + t)
         k, stride = rs.randint(1, 5), rs.randint(1, 5)
@@ -207,18 +210,65 @@ def test_conv_input_gradient_matches_scatter_oracle():
         h, w = stride * (ho - 1) + k - 2 * pad, stride * (wo - 1) + k - 2 * pad
         if min(h, w) < 1:
             continue
-        kinds.add((stride > k) - (stride < k))
-        wide_pads += pad >= k
         n, c = rs.randint(1, 4), rs.randint(1, 4)
         x = rs.randint(-9, 10, size=(2, c, h, w)).astype(np.float64)
         weights = rs.randint(-9, 10, size=(n, c, k, k)).astype(np.float64)
         g = rs.randint(-9, 10, size=(2, n, ho, wo)).astype(np.float64)
+        yield k, stride, pad, x, weights, g
+
+
+def test_conv_input_gradient_matches_scatter_oracle():
+    """The transposed conv against scattering each window's gradient back onto the
+    pixels it covers, bitwise on the integer-valued geometries."""
+    kinds, wide_pads = set(), 0
+    for k, stride, pad, x, weights, g in _integer_geometries():
+        kinds.add((stride > k) - (stride < k))
+        wide_pads += pad >= k
         got, _, _ = conv2d_backward(x, weights, g, stride, pad)
-        want = naive_col2im(np.einsum("nckl,bnyx->bcklyx", weights, g), (h, w), stride, pad)
-        assert got.shape == (2, c, h, w) and got.flags.c_contiguous
+        want = naive_col2im(np.einsum("nckl,bnyx->bcklyx", weights, g), x.shape[2:], stride, pad)
+        assert got.shape == x.shape and got.flags.c_contiguous
         assert np.array_equal(got, want), (k, stride, pad)
     assert kinds == {-1, 0, 1}  # overlapping, abutting and gapped windows all drawn
     assert wide_pads > 0
+
+
+def test_conv_weight_gradient_of_both_paths_matches_exact_oracle():
+    """The weight gradient from grad_out's columns (input_grad=True) and from
+    x's (input_grad=False) both equal an einsum over x's windows, and the bias
+    gradient equals grad_out's sum, bitwise on the integer-valued geometries."""
+    for k, stride, pad, x, weights, g in _integer_geometries():
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]  # (B, C, H', W', k, k)
+        want_w, want_b = np.einsum("bnyx,bcyxkl->nckl", g, win), np.einsum("bnyx->n", g)
+        for input_grad in (True, False):
+            _, gw, gb = conv2d_backward(x, weights, g, stride, pad, input_grad=input_grad)
+            assert gw.shape == weights.shape and gw.flags.c_contiguous
+            assert np.array_equal(gw, want_w), (k, stride, pad, input_grad)
+            assert np.array_equal(gb, want_b), (k, stride, pad, input_grad)
+
+
+def test_conv_unfolds_one_array_per_call(monkeypatch):
+    """The forward unfolds x; the backward unfolds grad_out when it computes the
+    input gradient and x when it does not, once per call either way."""
+    unfolded, real = [], kernels._unfolded
+
+    def spy(a, *args):
+        unfolded.append(a)
+        return real(a, *args)
+
+    monkeypatch.setattr(kernels, "_unfolded", spy)
+    rs = R(5)
+    x, w, b, g = rs.randn(2, 3, 6, 6), rs.randn(4, 3, 3, 3), rs.randn(4), rs.randn(2, 4, 6, 6)
+    calls = [
+        (lambda: conv2d_forward(x, w, b, 1, 1), x),
+        (lambda: conv2d_backward(x, w, g, 1, 1), g),
+        (lambda: conv2d_backward(x, w, g, 1, 1, input_grad=False), x),
+    ]
+    for call, want in calls:
+        unfolded.clear()
+        call()
+        assert len(unfolded) == 1 and unfolded[0] is want
 
 
 @pytest.mark.parametrize("batch", [1, 4, 7], ids=["batch1", "batch4", "batch7"])
@@ -248,22 +298,32 @@ def test_conv_per_sample_unfold_matches_oracles(batch, stride, pad):
 
 
 def test_conv_batch_is_its_samples_bit_for_bit():
-    """A midnet layer-3 shape: each sample's forward and input gradient equal its
-    slice of the batch call, and the batch weight gradient equals the running
-    in-order sum of the single-sample ones, bit for bit."""
+    """Midnet's layer 0 (no input gradient), layer 3 and a d1m2 column at layer
+    3: each sample's forward and input gradient equal its slice of the batch
+    call, and the batch weight gradient equals the running in-order sum of the
+    single-sample ones, bit for bit."""
     rs = R(13)
-    x, w, b = rs.randn(32, 16, 12, 12), rs.randn(32, 16, 5, 5), rs.randn(32)
-    out = conv2d_forward(x, w, b, 1, 2)
-    g = rs.randn(*out.shape)
-    gx, gw, _ = conv2d_backward(x, w, g, 1, 2)
-    running = np.zeros_like(gw)
-    for s in range(32):
-        one = conv2d_forward(x[s : s + 1], w, b, 1, 2)
-        gx_one, gw_one, _ = conv2d_backward(x[s : s + 1], w, g[s : s + 1], 1, 2)
-        assert one.tobytes() == out[s : s + 1].tobytes()
-        assert gx_one.tobytes() == gx[s : s + 1].tobytes()
-        running += gw_one
-    assert running.tobytes() == gw.tobytes()
+    cases = [
+        ((32, 3, 24, 24), (16, 3, 5, 5), False),
+        ((32, 16, 12, 12), (32, 16, 5, 5), True),
+        ((32, 16, 12, 12), (16, 16, 5, 5), True),
+    ]
+    for x_shape, w_shape, input_grad in cases:
+        x, w, b = rs.randn(*x_shape), rs.randn(*w_shape), rs.randn(w_shape[0])
+        out = conv2d_forward(x, w, b, 1, 2)
+        g = rs.randn(*out.shape)
+        gx, gw, _ = conv2d_backward(x, w, g, 1, 2, input_grad)
+        running = np.zeros_like(gw)
+        for s in range(32):
+            one = conv2d_forward(x[s : s + 1], w, b, 1, 2)
+            gx_one, gw_one, _ = conv2d_backward(x[s : s + 1], w, g[s : s + 1], 1, 2, input_grad)
+            assert one.tobytes() == out[s : s + 1].tobytes()
+            if input_grad:
+                assert gx_one.tobytes() == gx[s : s + 1].tobytes()
+            else:
+                assert gx is None and gx_one is None
+            running += gw_one
+        assert running.tobytes() == gw.tobytes(), (w_shape, input_grad)
 
 
 def test_conv_empty_batch():
