@@ -1,7 +1,7 @@
 """Dense float64 forward/backward kernels and the SGD update rule.
 
-Layout is batch x channels x height x width throughout. Kernels take plain
-arrays: conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
+Kernels take and return plain batch x channels x height x width arrays:
+conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
 each backward takes the forward's input, weights and upstream gradient.
 Windows are square (conv weights are (N, C, k, k)). One read-only strided
 view, _windows, serves conv and max-pooling; conv_output_size is the one
@@ -9,36 +9,57 @@ check that a window tiles its input.
 
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
-Processing" (2006). Each conv call unfolds (im2col) exactly one array. The
-forward unfolds x into (C*k*k, H'*W') columns per sample and is one matmul
-per sample with w as (N, C*k*k).
+Processing" (2006). Each conv call unfolds (im2col) exactly one array, in one
+of two layouts. Channels-first, like the arrays, each sample's frame is
+(C, H, W) and its columns (C*k*k, H'*W'); channels-last, the frame is
+(H, W, C) and the columns are rows of (H'*W', k*k*C). An unfold copies its
+windows one run at a time: channels-first, one output row of W' entries
+(strided at a window stride above 1); channels-last, one window row across
+every channel, k*C contiguous entries. So each unfold takes the layout with
+the longer run, channels-last when k*C > W', as a pure function of the array
+shapes (_channels_last). On midnet, layer 0 stays channels-first (k*C = 15
+against W' = 24), where channels-last ran its forward 1.2-1.3x and its
+backward 1.03-1.2x slower, and layer 3 goes channels-last (80 against 12),
+where it runs faster at every filter count from 8 to 64 (BENCH_layout.json);
+cuDNN's lowered convolutions trade layouts the same way
+(Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
+Every GEMM reads its operands as stored (w @ rows^T ran 2x slower than
+rows @ w^T at N = 16): the forward is one matmul per sample, w as
+(N, C*k*k) @ columns, or rows @ w as (k*k*C, N) into an (H'*W', N) product
+that is then copied transposed into the sample's output. Writing the product
+straight into a transposed view of the output made midnet's layer 3 1.08x
+slower forward and 1.16x slower backward at N = 32; at N = 8 and 16 the two
+were within 10% of each other, either way.
 
 The backward unfolds grad_out when it computes the input gradient. That
 gradient is a transposed convolution (Dumoulin & Visin, "A guide to
 convolution arithmetic for deep learning", 2016): a stride-1 correlation of
 grad_out, spread out by the stride and offset by k-1-pad, with w flipped and
-transposed to (C, N*k*k). Its columns G, (N*k*k, H*W) per sample, feed one
-matmul per sample, with no scatter back onto the input. The same G gives the
-weight gradient, as Mathieu, Henaff & LeCun ("Fast Training of Convolutional
-Networks through FFTs", 2013) reuse one transform of each array across all
-three passes. With spread(g)[n, y*s, x*s] = g[n, y, x] and zero elsewhere,
+transposed to (C, N*k*k). Its columns G, (N*k*k, H*W) per sample, or
+channels-last (H*W, k*k*N) when k*N > W, feed one matmul per sample, with no
+scatter back onto the input. The same G gives the weight gradient, as
+Mathieu, Henaff & LeCun ("Fast Training of Convolutional Networks through
+FFTs", 2013) reuse one transform of each array across all three passes.
+With spread(g)[n, y*s, x*s] = g[n, y, x] and zero elsewhere,
 
     grad_w[n,c,i,j] = sum_{y,x} g[n,y,x] * x[c, y*s+i-pad, x*s+j-pad]
                     = sum_{u,v} x[c,u,v] * spread(g)[n, u+pad-i, v+pad-j],
 
 and row (n, i', j') of G holds spread(g)[n, u+i'-(k-1-pad), v+j'-(k-1-pad)]
 in column (u, v), so row (n, k-1-i, k-1-j) is the one that tap (i, j) needs:
-grad_w is sum_s G @ x[s]^T, an (N*k*k, C) array in sample order, with its
-taps flipped back. A stride-s conv's input and weight gradients thus run
-about s*s times the forward's multiply-adds, most of them on the zeros between
-spread entries; no shipped network has such a layer, since alexnet's stride-4
-conv is its layer 0.
+grad_w is sum_s G @ x[s]^T, an (N*k*k, C) array in sample order, or
+sum_s x[s] @ G, (C, k*k*N), from channels-last rows, with its taps flipped
+back. A stride-s conv's input and weight gradients thus run about s*s times
+the forward's multiply-adds, most of them on the zeros between spread
+entries; no shipped network has such a layer, since alexnet's stride-4 conv
+is its layer 0.
 
 Without the input gradient (a network's first conv) the backward unfolds x
-instead, as the forward does, and sums grad_out @ columns^T over the samples
-in sample order; G would have N/C times as many rows (5.3x on midnet's layer
-0). The two routes sum the same products in different orders, so on float
-data their weight gradients agree to rounding, not bit for bit.
+instead, as the forward does, and sums grad_out @ columns^T (channels-last,
+grad_out @ rows) over the samples in sample order; G would have N/C times
+as many rows (5.3x on midnet's layer 0). The two routes sum the same
+products in different orders, so on float data their weight gradients agree
+to rounding, not bit for bit; so do the two layouts of any one product.
 
 Every unfold works one sample at a time, in one padded or spread frame and one
 column buffer that each call allocates and reuses from sample to sample. A
@@ -188,26 +209,40 @@ def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]
     return slice(first, stop), slice(start, start + (stop - first - 1) * step + 1, step)
 
 
-def _unfolded(a: np.ndarray, k: int, stride: int, offset: int, step: int, frame: tuple[int, int]):
+def _channels_last(c: int, k: int, wo: int) -> bool:
+    """Whether channels-last columns copy the longer runs: k*C entries per
+    window row, against W' per channels-first output row, at any stride."""
+    return k * c > wo
+
+
+def _unfolded(
+    a: np.ndarray, k: int, stride: int, offset: int, step: int, frame: tuple[int, int], last: bool
+):
     """im2col of a (B, C, h, w) array, one sample at a time.
 
-    Each sample is placed into a zeroed (1, C, *frame) frame, entry (y, x) at
+    Each sample is placed into a zeroed frame, entry (y, x) at
     (offset + y*step, offset + x*step), dropping what falls outside; the
     frame's k x k windows at `stride` are copied out as (C*k*k, H'*W')
-    columns. Yields (s, columns) for sample s; one frame and one column buffer
-    serve every sample, so each sample's columns are overwritten by the next.
+    columns, or with `last` from an (H, W, C) frame as (H'*W', k*k*C) rows.
+    Yields (s, columns) for sample s; one frame and one column buffer serve
+    every sample, so each sample's columns are overwritten by the next.
     Every sample writes the same frame entries, so the rest stay zero.
     """
     batch, c, h, w = a.shape
-    framed = np.zeros((1, c, *frame), dtype=FLOAT)
-    windows = _windows(framed, k, stride)[0].transpose(0, 3, 4, 1, 2)
-    cols = np.empty(windows.shape, dtype=FLOAT)  # (C, k, k, H', W')
+    if last:  # an (H, W, C) frame, seen as (1, C, H, W); windows (H', W', k, k, C)
+        framed = np.zeros((1, *frame, c), dtype=FLOAT).transpose(0, 3, 1, 2)
+        windows = _windows(framed, k, stride)[0].transpose(1, 2, 3, 4, 0)
+    else:  # windows (C, k, k, H', W')
+        framed = np.zeros((1, c, *frame), dtype=FLOAT)
+        windows = _windows(framed, k, stride)[0].transpose(0, 3, 4, 1, 2)
+    cols = np.empty(windows.shape, dtype=FLOAT)
+    flat = cols.reshape(-1, c * k * k) if last else cols.reshape(c * k * k, -1)
     ys, fy = _placement(h, step, offset, frame[0])
     xs, fx = _placement(w, step, offset, frame[1])
     for s in range(batch):
         framed[0, :, fy, fx] = a[s, :, ys, xs]
         np.copyto(cols, windows)
-        yield s, cols.reshape(c * k * k, -1)
+        yield s, flat
 
 
 def conv2d_forward(
@@ -224,10 +259,17 @@ def conv2d_forward(
     batch, _, h, wd = x.shape
     ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
-    wmat = w.reshape(n, c * k * k)
     frame = (h + 2 * pad, wd + 2 * pad)
-    for s, cols in _unfolded(x, k, stride, pad, 1, frame):
-        np.matmul(wmat, cols, out=out[s])
+    if _channels_last(c, k, wo):  # rows @ w as (k*k*C, N), copied transposed into out[s]
+        wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * c, n)
+        product = np.empty((ho * wo, n), dtype=FLOAT)
+        for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
+            np.matmul(rows, wmat, out=product)
+            out[s] = product.T
+    else:
+        wmat = w.reshape(n, c * k * k)
+        for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
+            np.matmul(wmat, cols, out=out[s])
     out += b[None, :, None]
     return out.reshape(batch, n, ho, wo)
 
@@ -258,24 +300,44 @@ def conv2d_backward(
     go = grad_out.reshape(batch, n, ho * wo)
     grad_bias = go.sum(axis=(0, 2))
     if not input_grad:
-        grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
         frame = (h + 2 * pad, wd + 2 * pad)
-        for s, cols in _unfolded(x, k, stride, pad, 1, frame):
-            grad_w += go[s] @ cols.T
-        return None, grad_w.reshape(w.shape), grad_bias
+        if _channels_last(c, k, wo):  # rows (H'*W', k*k*C): go[s] @ rows, taps (i, j, c)
+            grad_w = np.zeros((n, k * k * c), dtype=FLOAT)
+            for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
+                grad_w += go[s] @ rows
+            grad_w = grad_w.reshape(n, k, k, c).transpose(0, 3, 1, 2)
+        else:
+            grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
+            for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
+                grad_w += go[s] @ cols.T
+        return None, np.ascontiguousarray(grad_w).reshape(w.shape), grad_bias
     # the transposed conv: a stride-1 correlation of grad_out, spread by the
     # stride and offset by k-1-pad, with w flipped and transposed to (C, N*k*k);
-    # row (n, i', j') of its columns pairs with weight tap (n, :, k-1-i', k-1-j')
-    wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, n * k * k)
+    # tap (i', j') of its columns pairs with weight tap (k-1-i', k-1-j')
+    last = _channels_last(n, k, wd)
+    flipped = w[:, :, ::-1, ::-1]
     xs = x.reshape(batch, c, h * wd)
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
-    grad_wt = np.zeros((n * k * k, c), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
-    for s, cols in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame):
-        np.matmul(wt, cols, out=grad_x[s])
-        grad_wt += cols @ xs[s].T
-    grad_w = grad_wt.reshape(n, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
-    return grad_x.reshape(batch, c, h, wd), np.ascontiguousarray(grad_w), grad_bias
+    unfolded = _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, last)
+    if last:  # rows (H*W, k*k*N), taps (i', j', n): rows @ wt, copied transposed into grad_x[s]
+        wt = np.ascontiguousarray(flipped.transpose(2, 3, 0, 1)).reshape(k * k * n, c)
+        grad_wt = np.zeros((c, k * k * n), dtype=FLOAT)
+        product = np.empty((h * wd, c), dtype=FLOAT)
+        for s, rows in unfolded:
+            np.matmul(rows, wt, out=product)
+            grad_x[s] = product.T
+            grad_wt += xs[s] @ rows
+        grad_w = grad_wt.reshape(c, k, k, n).transpose(3, 0, 1, 2)
+    else:
+        wt = np.ascontiguousarray(flipped.transpose(1, 0, 2, 3)).reshape(c, n * k * k)
+        grad_wt = np.zeros((n * k * k, c), dtype=FLOAT)
+        for s, cols in unfolded:
+            np.matmul(wt, cols, out=grad_x[s])
+            grad_wt += cols @ xs[s].T
+        grad_w = grad_wt.reshape(n, k, k, c).transpose(0, 3, 1, 2)
+    grad_w = np.ascontiguousarray(grad_w[:, :, ::-1, ::-1])
+    return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from parconv import kernels
+from parconv import kernels, load_network
 from parconv.errors import ShapeError, ValidationError
 from parconv.kernels import (
     SgdState,
@@ -28,8 +28,10 @@ from parconv.kernels import (
     softmax_xent,
     softmax_xent_scaled,
 )
+from parconv.schemes import ParallelPlan, plan_columnized
 
 from oracles import (
+    CONFIGS,
     central_difference,
     naive_col2im,
     naive_conv2d,
@@ -196,6 +198,38 @@ def test_conv_backward_paths_agree_on_float_data(stride, pad):
     assert gb2.tobytes() == gb.tobytes() and gb2.shape == gb.shape
 
 
+@pytest.fixture
+def unfolds(monkeypatch):
+    """Each kernels._unfolded call, as (array unfolded, channels-last?)."""
+    calls, real = [], kernels._unfolded
+
+    def spy(a, *args):
+        calls.append((a, args[-1]))
+        return real(a, *args)
+
+    monkeypatch.setattr(kernels, "_unfolded", spy)
+    return calls
+
+
+def _one_unfold(unfolds, call):
+    """call()'s result and the layout of the one array it unfolds."""
+    unfolds.clear()
+    result = call()
+    assert len(unfolds) == 1
+    return result, unfolds[0][1]
+
+
+def _padded_windows(x, k, stride, pad):
+    """(B, C, H', W', k, k) windows of x, by sliding_window_view."""
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+# (channels-last?, stride > 1): each exact oracle draws all four
+EVERY_LAYOUT = {(False, False), (False, True), (True, False), (True, True)}
+
+
 def _integer_geometries():
     """80 random (k, stride, pad) with integer-valued x, weights and upstream
     gradient, as (k, stride, pad, x, weights, g): overlapping (stride < k),
@@ -217,58 +251,107 @@ def _integer_geometries():
         yield k, stride, pad, x, weights, g
 
 
-def test_conv_input_gradient_matches_scatter_oracle():
+def test_conv_input_gradient_matches_scatter_oracle(unfolds):
     """The transposed conv against scattering each window's gradient back onto the
-    pixels it covers, bitwise on the integer-valued geometries."""
-    kinds, wide_pads = set(), 0
+    pixels it covers, bitwise on the integer-valued geometries, from
+    channels-first and channels-last columns, of grad_out spread or not."""
+    kinds, wide_pads, layouts = set(), 0, set()
     for k, stride, pad, x, weights, g in _integer_geometries():
         kinds.add((stride > k) - (stride < k))
         wide_pads += pad >= k
-        got, _, _ = conv2d_backward(x, weights, g, stride, pad)
+        (got, _, _), last = _one_unfold(
+            unfolds, lambda: conv2d_backward(x, weights, g, stride, pad)
+        )
+        layouts.add((last, stride > 1))
         want = naive_col2im(np.einsum("nckl,bnyx->bcklyx", weights, g), x.shape[2:], stride, pad)
         assert got.shape == x.shape and got.flags.c_contiguous
-        assert np.array_equal(got, want), (k, stride, pad)
+        assert np.array_equal(got, want), (k, stride, pad, last)
     assert kinds == {-1, 0, 1}  # overlapping, abutting and gapped windows all drawn
     assert wide_pads > 0
+    assert layouts == EVERY_LAYOUT
 
 
-def test_conv_weight_gradient_of_both_paths_matches_exact_oracle():
+def test_conv_forward_matches_exact_oracle(unfolds):
+    """The forward against an einsum over x's windows, bitwise on the
+    integer-valued geometries, from columns of both layouts, at stride 1 and
+    larger."""
+    layouts = set()
+    for t, (k, stride, pad, x, weights, _) in enumerate(_integer_geometries()):
+        b = np.arange(weights.shape[0], dtype=np.float64) - t % 3
+        out, last = _one_unfold(unfolds, lambda: conv2d_forward(x, weights, b, stride, pad))
+        layouts.add((last, stride > 1))
+        win = _padded_windows(x, k, stride, pad)
+        want = np.einsum("nckl,bcyxkl->bnyx", weights, win) + b[:, None, None]
+        assert out.shape == want.shape and out.flags.c_contiguous
+        assert np.array_equal(out, want), (k, stride, pad, last)
+    assert layouts == EVERY_LAYOUT
+
+
+def test_conv_weight_gradient_of_both_paths_matches_exact_oracle(unfolds):
     """The weight gradient from grad_out's columns (input_grad=True) and from
     x's (input_grad=False) both equal an einsum over x's windows, and the bias
-    gradient equals grad_out's sum, bitwise on the integer-valued geometries."""
+    gradient equals grad_out's sum, bitwise on the integer-valued geometries,
+    each route from columns of both layouts, at stride 1 and larger."""
+    layouts = {True: set(), False: set()}
     for k, stride, pad, x, weights, g in _integer_geometries():
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]  # (B, C, H', W', k, k)
+        win = _padded_windows(x, k, stride, pad)
         want_w, want_b = np.einsum("bnyx,bcyxkl->nckl", g, win), np.einsum("bnyx->n", g)
         for input_grad in (True, False):
-            _, gw, gb = conv2d_backward(x, weights, g, stride, pad, input_grad=input_grad)
+            (_, gw, gb), last = _one_unfold(
+                unfolds, lambda: conv2d_backward(x, weights, g, stride, pad, input_grad=input_grad)
+            )
+            layouts[input_grad].add((last, stride > 1))
             assert gw.shape == weights.shape and gw.flags.c_contiguous
-            assert np.array_equal(gw, want_w), (k, stride, pad, input_grad)
-            assert np.array_equal(gb, want_b), (k, stride, pad, input_grad)
+            assert np.array_equal(gw, want_w), (k, stride, pad, input_grad, last)
+            assert np.array_equal(gb, want_b), (k, stride, pad, input_grad, last)
+    assert layouts[True] == layouts[False] == EVERY_LAYOUT
 
 
-def test_conv_unfolds_one_array_per_call(monkeypatch):
+def test_conv_unfolds_one_array_per_call(unfolds):
     """The forward unfolds x; the backward unfolds grad_out when it computes the
-    input gradient and x when it does not, once per call either way."""
-    unfolded, real = [], kernels._unfolded
-
-    def spy(a, *args):
-        unfolded.append(a)
-        return real(a, *args)
-
-    monkeypatch.setattr(kernels, "_unfolded", spy)
+    input gradient and x when it does not, once per call either way, in the
+    layout whose contiguous runs are longer: here x channels-first (k*C 9
+    against W' 10) and grad_out channels-last (k*N 12 against W 10)."""
     rs = R(5)
-    x, w, b, g = rs.randn(2, 3, 6, 6), rs.randn(4, 3, 3, 3), rs.randn(4), rs.randn(2, 4, 6, 6)
+    x, w, b, g = rs.randn(2, 3, 10, 10), rs.randn(4, 3, 3, 3), rs.randn(4), rs.randn(2, 4, 10, 10)
     calls = [
-        (lambda: conv2d_forward(x, w, b, 1, 1), x),
-        (lambda: conv2d_backward(x, w, g, 1, 1), g),
-        (lambda: conv2d_backward(x, w, g, 1, 1, input_grad=False), x),
+        (lambda: conv2d_forward(x, w, b, 1, 1), x, False),
+        (lambda: conv2d_backward(x, w, g, 1, 1), g, True),
+        (lambda: conv2d_backward(x, w, g, 1, 1, input_grad=False), x, False),
     ]
-    for call, want in calls:
-        unfolded.clear()
-        call()
-        assert len(unfolded) == 1 and unfolded[0] is want
+    for call, want, want_last in calls:
+        _, last = _one_unfold(unfolds, call)
+        assert unfolds[0][0] is want and last is want_last
+
+
+def _conv_layouts(unfolds, net, columns, index):
+    """Filters per column and the layouts of the forward's and the backward's
+    unfolds at conv layer `index` of `net`, split `columns` ways crossing at
+    layer 3 as the shipped plans do; the backward takes the input gradient
+    except at layer 0, as the column engine does."""
+    plan = ParallelPlan(1, columns, (3,) if columns > 1 else ())
+    cl = plan_columnized(net, plan).col_layers[index]
+    (stride, pad), rs = (cl.layer.stride, cl.layer.pad), R(index)
+    x, w, g = rs.randn(1, *cl.in_shape), rs.randn(*cl.weight_shape), rs.randn(1, *cl.out_shape)
+    _, fwd = _one_unfold(unfolds, lambda: conv2d_forward(x, w, rs.randn(w.shape[0]), stride, pad))
+    _, bwd = _one_unfold(unfolds, lambda: conv2d_backward(x, w, g, stride, pad, index > 0))
+    return w.shape[0], fwd, bwd
+
+
+def test_conv_layout_rule_on_shipped_layers(unfolds):
+    """midnet's layer 0 stays channels-first (k*C 15 against W' 24); its
+    layer 3 goes channels-last in the forward (k*C 80 against W' 12) and the
+    transposed conv (k*N 160, 80, 40 against W 12) at N = 32, 16 and 8.
+    tinynet d1m4's layer 3 has a channels-last forward (k*C 24 against W' 8)
+    and a channels-first transposed conv (k*N 6 against W 8), so one plan
+    runs both layouts."""
+    mid = load_network(CONFIGS.parent / "stepbench" / "configs" / "midnet.net")
+    for columns, filters in ((1, 32), (2, 16), (4, 8)):
+        assert _conv_layouts(unfolds, mid, columns, 0) == (16 // columns, False, False)
+        assert _conv_layouts(unfolds, mid, columns, 3) == (filters, True, True)
+    tiny = load_network(CONFIGS / "tinynet.net")
+    assert _conv_layouts(unfolds, tiny, 4, 0) == (2, False, False)
+    assert _conv_layouts(unfolds, tiny, 4, 3) == (2, True, False)
 
 
 @pytest.mark.parametrize("batch", [1, 4, 7], ids=["batch1", "batch4", "batch7"])
@@ -276,25 +359,26 @@ def test_conv_unfolds_one_array_per_call(monkeypatch):
 def test_conv_per_sample_unfold_matches_oracles(batch, stride, pad):
     """One sample per unfold, through a frame and columns that every sample
     reuses: forward and all three gradients stay within 1e-12 of loop and
-    einsum oracles, for one sample and for several."""
-    rs = R(stride * 10 + pad)
-    x = rs.randn(batch, 3, 9, 9)
-    w, b = rs.randn(4, 3, 3, 3), rs.randn(4)
-    out = conv2d_forward(x, w, b, stride, pad)
-    g = rs.randn(*out.shape)
-    gx, gw, gb = conv2d_backward(x, w, g, stride, pad)
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, C, H', W', k, k)
-    pairs = [
-        (out, naive_conv2d(x, w, b, stride, pad)),
-        (gx, naive_col2im(np.einsum("nckl,bnyx->bcklyx", w, g), (9, 9), stride, pad)),
-        (gw, np.einsum("bnyx,bcyxkl->nckl", g, win)),
-        (gb, np.einsum("bnyx->n", g)),
-    ]
-    for got, want in pairs:
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    einsum oracles, for one sample and for several. C = 3 and N = 4 unfold
+    x channels-first at stride 1 (k*C 9 against W' 11 at pad 2) and grad_out
+    channels-last (k*N 12 against W 9); the wide C = 8 with N = 2 the other
+    way round (24 against 11, 6 against 9)."""
+    for c, n in ((3, 4), (8, 2)):
+        rs = R(stride * 10 + pad + 100 * (c == 8))
+        x = rs.randn(batch, c, 9, 9)
+        w, b = rs.randn(n, c, 3, 3), rs.randn(n)
+        out = conv2d_forward(x, w, b, stride, pad)
+        g = rs.randn(*out.shape)
+        gx, gw, gb = conv2d_backward(x, w, g, stride, pad)
+        pairs = [
+            (out, naive_conv2d(x, w, b, stride, pad)),
+            (gx, naive_col2im(np.einsum("nckl,bnyx->bcklyx", w, g), (9, 9), stride, pad)),
+            (gw, np.einsum("bnyx,bcyxkl->nckl", g, _padded_windows(x, 3, stride, pad))),
+            (gb, np.einsum("bnyx->n", g)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (c, n)
 
 
 def test_conv_batch_is_its_samples_bit_for_bit():
