@@ -15,29 +15,32 @@ of two layouts. Channels-first, like the arrays, each sample's frame is
 (H, W, C) and the columns are rows of (H'*W', k*k*C). An unfold copies its
 windows one run at a time: channels-first, one output row of W' entries
 (strided at a window stride above 1); channels-last, one window row across
-every channel, k*C contiguous entries. So each unfold takes the layout with
-the longer run, channels-last when k*C > W', as a pure function of the array
-shapes (_channels_last). On midnet, layer 0 stays channels-first (k*C = 15
-against W' = 24), where channels-last ran its forward 1.2-1.3x and its
-backward 1.03-1.2x slower, and layer 3 goes channels-last (80 against 12),
-where it runs faster at every filter count from 8 to 64 (BENCH_layout.json);
-cuDNN's lowered convolutions trade layouts the same way
-(Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
-Every GEMM reads its operands as stored (w @ rows^T ran 2x slower than
-rows @ w^T at N = 16): the forward is one matmul per sample, w as
-(N, C*k*k) @ columns, or rows @ w as (k*k*C, N) into an (H'*W', N) product
-that is then copied transposed into the sample's output. Writing the product
-straight into a transposed view of the output made midnet's layer 3 1.08x
-slower forward and 1.16x slower backward at N = 32; at N = 8 and 16 the two
-were within 10% of each other, either way.
+every channel, k*C contiguous entries. The forward takes the layout with the
+longer run, channels-last when k*C > W'. On midnet, layer 0 stays
+channels-first (k*C = 15 against W' = 24), where channels-last ran its forward
+1.2-1.3x slower, and layer 3 goes channels-last (80 against 12), where it runs
+faster at every filter count from 8 to 64 (BENCH_layout.json); cuDNN's lowered
+convolutions trade layouts the same way (Chetlur et al., "cuDNN: Efficient
+Primitives for Deep Learning", 2014). Each backward route keeps the one layout
+that all five midnet plans run it in (below). Every GEMM reads its operands
+as stored (w @ rows^T ran 2x slower than rows @ w^T at N = 16): the forward
+is one matmul per sample, w as (N, C*k*k) @ columns, or rows @ w as
+(k*k*C, N) into an (H'*W', N) product that is then copied transposed into the
+sample's output. Writing the product straight into a transposed view of the
+output made midnet's layer 3 1.08x slower forward and 1.16x slower backward
+at N = 32; at N = 8 and 16 the two were within 10% of each other, either way.
 
 The backward unfolds grad_out when it computes the input gradient. That
 gradient is a transposed convolution (Dumoulin & Visin, "A guide to
 convolution arithmetic for deep learning", 2016): a stride-1 correlation of
 grad_out, spread out by the stride and offset by k-1-pad, with w flipped and
-transposed to (C, N*k*k). Its columns G, (N*k*k, H*W) per sample, or
-channels-last (H*W, k*k*N) when k*N > W, feed one matmul per sample, with no
-scatter back onto the input. The same G gives the weight gradient, as
+transposed to (k*k*N, C). Its channels-last rows G, (H*W, k*k*N) per sample,
+feed one matmul per sample, with no scatter back onto the input. Their runs
+are k*N entries against W: 40-160 against 12 on midnet's layer 3, where
+channels-last ran the backward 1.2-1.35x faster (BENCH_layout.json). Only
+tinynet's layer 3 at four columns (d1m4) has k*N below W (6 against 8);
+channels-last costs it 1.12x (0.189 against 0.169 ms per call at batch 8),
+on a plan no benchmark runs. The same G gives the weight gradient, as
 Mathieu, Henaff & LeCun ("Fast Training of Convolutional Networks through
 FFTs", 2013) reuse one transform of each array across all three passes.
 With spread(g)[n, y*s, x*s] = g[n, y, x] and zero elsewhere,
@@ -45,21 +48,22 @@ With spread(g)[n, y*s, x*s] = g[n, y, x] and zero elsewhere,
     grad_w[n,c,i,j] = sum_{y,x} g[n,y,x] * x[c, y*s+i-pad, x*s+j-pad]
                     = sum_{u,v} x[c,u,v] * spread(g)[n, u+pad-i, v+pad-j],
 
-and row (n, i', j') of G holds spread(g)[n, u+i'-(k-1-pad), v+j'-(k-1-pad)]
-in column (u, v), so row (n, k-1-i, k-1-j) is the one that tap (i, j) needs:
-grad_w is sum_s G @ x[s]^T, an (N*k*k, C) array in sample order, or
-sum_s x[s] @ G, (C, k*k*N), from channels-last rows, with its taps flipped
-back. A stride-s conv's input and weight gradients thus run about s*s times
-the forward's multiply-adds, most of them on the zeros between spread
-entries; no shipped network has such a layer, since alexnet's stride-4 conv
-is its layer 0.
+and column (i', j', n) of G holds spread(g)[n, u+i'-(k-1-pad), v+j'-(k-1-pad)]
+in row (u, v), so column (k-1-i, k-1-j, n) is the one that tap (i, j) needs:
+grad_w is sum_s x[s] @ G, a (C, k*k*N) array in sample order, with its taps
+flipped back. A stride-s conv's input and weight gradients thus run about
+s*s times the forward's multiply-adds, most of them on the zeros between
+spread entries; no shipped network has such a layer, since alexnet's
+stride-4 conv is its layer 0.
 
 Without the input gradient (a network's first conv) the backward unfolds x
-instead, as the forward does, and sums grad_out @ columns^T (channels-last,
-grad_out @ rows) over the samples in sample order; G would have N/C times
-as many rows (5.3x on midnet's layer 0). The two routes sum the same
-products in different orders, so on float data their weight gradients agree
-to rounding, not bit for bit; so do the two layouts of any one product.
+instead and sums grad_out @ columns^T over the samples in sample order; G
+would have N/C times as many rows (5.3x on midnet's layer 0). The columns are
+channels-first, as on midnet's layer 0 (k*C = 15 against W' = 24), where
+channels-last ran this backward 1.03-1.2x slower (BENCH_layout.json). The two
+routes sum the same products in different orders, so on float data their
+weight gradients agree to rounding, not bit for bit, as do the forward's two
+layouts.
 
 Every unfold works one sample at a time, in one padded or spread frame and one
 column buffer that each call allocates and reuses from sample to sample. A
@@ -209,12 +213,6 @@ def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]
     return slice(first, stop), slice(start, start + (stop - first - 1) * step + 1, step)
 
 
-def _channels_last(c: int, k: int, wo: int) -> bool:
-    """Whether channels-last columns copy the longer runs: k*C entries per
-    window row, against W' per channels-first output row, at any stride."""
-    return k * c > wo
-
-
 def _unfolded(
     a: np.ndarray, k: int, stride: int, offset: int, step: int, frame: tuple[int, int], last: bool
 ):
@@ -260,7 +258,7 @@ def conv2d_forward(
     ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
     frame = (h + 2 * pad, wd + 2 * pad)
-    if _channels_last(c, k, wo):  # rows @ w as (k*k*C, N), copied transposed into out[s]
+    if k * c > wo:  # channels-last runs are longer: rows @ w, copied transposed into out[s]
         wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * c, n)
         product = np.empty((ho * wo, n), dtype=FLOAT)
         for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
@@ -284,10 +282,10 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Analytic gradients of conv2d_forward w.r.t. input, weights, and bias.
 
-    Unfolds one array: grad_out, whose columns give both the input and the
-    weight gradient, or, with input_grad=False, x, for the weight gradient
-    alone; the input gradient then comes back as None. The two routes' weight
-    gradients agree to rounding; the bias gradients are the same.
+    Unfolds one array: grad_out (channels-last), whose rows give the input and
+    weight gradients, or, with input_grad=False, x (channels-first), for the
+    weight gradient alone, returning None for the input gradient. The routes'
+    weight gradients agree to rounding; their bias gradients are the same.
     """
     _conv_shapes(x, w)
     n, c, k, _ = w.shape
@@ -299,45 +297,27 @@ def conv2d_backward(
     )
     go = grad_out.reshape(batch, n, ho * wo)
     grad_bias = go.sum(axis=(0, 2))
-    if not input_grad:
+    if not input_grad:  # channels-first columns of x: sum of go[s] @ columns^T
+        grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
         frame = (h + 2 * pad, wd + 2 * pad)
-        if _channels_last(c, k, wo):  # rows (H'*W', k*k*C): go[s] @ rows, taps (i, j, c)
-            grad_w = np.zeros((n, k * k * c), dtype=FLOAT)
-            for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
-                grad_w += go[s] @ rows
-            grad_w = grad_w.reshape(n, k, k, c).transpose(0, 3, 1, 2)
-        else:
-            grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
-            for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
-                grad_w += go[s] @ cols.T
-        return None, np.ascontiguousarray(grad_w).reshape(w.shape), grad_bias
-    # the transposed conv: a stride-1 correlation of grad_out, spread by the
-    # stride and offset by k-1-pad, with w flipped and transposed to (C, N*k*k);
-    # tap (i', j') of its columns pairs with weight tap (k-1-i', k-1-j')
-    last = _channels_last(n, k, wd)
-    flipped = w[:, :, ::-1, ::-1]
+        for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
+            grad_w += go[s] @ cols.T
+        return None, grad_w.reshape(w.shape), grad_bias
+    # the transposed conv: a stride-1 correlation of grad_out, spread by the stride
+    # and offset by k-1-pad, with w flipped to (k*k*N, C); tap (i', j', n) of its
+    # channels-last rows (H*W, k*k*N) pairs with weight tap (k-1-i', k-1-j')
+    wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(k * k * n, c)
     xs = x.reshape(batch, c, h * wd)
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
+    grad_wt = np.zeros((c, k * k * n), dtype=FLOAT)
+    product = np.empty((h * wd, c), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
-    unfolded = _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, last)
-    if last:  # rows (H*W, k*k*N), taps (i', j', n): rows @ wt, copied transposed into grad_x[s]
-        wt = np.ascontiguousarray(flipped.transpose(2, 3, 0, 1)).reshape(k * k * n, c)
-        grad_wt = np.zeros((c, k * k * n), dtype=FLOAT)
-        product = np.empty((h * wd, c), dtype=FLOAT)
-        for s, rows in unfolded:
-            np.matmul(rows, wt, out=product)
-            grad_x[s] = product.T
-            grad_wt += xs[s] @ rows
-        grad_w = grad_wt.reshape(c, k, k, n).transpose(3, 0, 1, 2)
-    else:
-        wt = np.ascontiguousarray(flipped.transpose(1, 0, 2, 3)).reshape(c, n * k * k)
-        grad_wt = np.zeros((n * k * k, c), dtype=FLOAT)
-        for s, cols in unfolded:
-            np.matmul(wt, cols, out=grad_x[s])
-            grad_wt += cols @ xs[s].T
-        grad_w = grad_wt.reshape(n, k, k, c).transpose(0, 3, 1, 2)
-    grad_w = np.ascontiguousarray(grad_w[:, :, ::-1, ::-1])
-    return grad_x.reshape(batch, c, h, wd), grad_w, grad_bias
+    for s, rows in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, True):
+        np.matmul(rows, wt, out=product)  # copied transposed into grad_x[s]
+        grad_x[s] = product.T
+        grad_wt += xs[s] @ rows
+    grad_w = grad_wt.reshape(c, k, k, n).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
+    return grad_x.reshape(batch, c, h, wd), np.ascontiguousarray(grad_w), grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +325,17 @@ def conv2d_backward(
 # ---------------------------------------------------------------------------
 
 
-def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x (B, D) @ weights (D, U) + bias (U)."""
+def _fc_shapes(x: np.ndarray, weights: np.ndarray) -> None:
     _require(x.ndim == 2 and weights.ndim == 2, "fc expects 2-d input and weights")
     _require(
         x.shape[1] == weights.shape[0],
         f"fc inner dimensions disagree: input {x.shape} vs weights {weights.shape}",
     )
+
+
+def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x (B, D) @ weights (D, U) + bias (U)."""
+    _fc_shapes(x, weights)
     _require(bias.shape == (weights.shape[1],), f"fc bias shape {bias.shape} invalid")
     return x @ weights + bias
 
@@ -359,6 +343,7 @@ def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarr
 def fc_backward(
     x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _fc_shapes(x, weights)
     _require(
         grad_out.shape == (x.shape[0], weights.shape[1]),
         f"fc grad_out shape {grad_out.shape} does not match output "

@@ -519,11 +519,26 @@ def hybrid_step(
     batch_x: np.ndarray,
     batch_y: np.ndarray,
 ) -> StepResult:
-    """One synchronous update under an arbitrary d x m plan (the general engine)."""
+    """One synchronous update under an arbitrary d x m plan (the general engine).
+
+    The batch is checked before any worker starts, so a bad one raises a
+    ValidationError and leaves the fabric as it was.
+    """
     d, m = plan.data_shards, plan.model_columns
     b = batch_x.shape[0]
     shard = plan.shard(b)
     labels = np.asarray(batch_y, dtype=np.int64)
+    net = cs.base
+    if batch_x.shape[1:] != net.input_shape:
+        raise ValidationError(
+            f"samples of shape {batch_x.shape[1:]}: {net.name} takes {net.input_shape}"
+        )
+    if labels.shape != (b,):
+        raise ValidationError(f"labels of shape {labels.shape} for {b} samples: one label each")
+    if labels.min() < 0 or labels.max() >= net.classes:
+        raise ValidationError(
+            f"labels must lie in [0, {net.classes}), got {labels.min()} to {labels.max()}"
+        )
     loss_scale = 1.0 / b
 
     args = []

@@ -82,6 +82,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.memory_capacity is not None and self.memory_capacity < 1:
+            raise ValidationError(f"memory capacity must be >= 1 byte, got {self.memory_capacity}")
         self.plan.shard(self.batch)
         _check_split(self.net, self.train_data, "training")
         if self.test_data is not None:

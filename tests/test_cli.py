@@ -156,6 +156,20 @@ def test_train_memory_infeasible_exit_2(dataset_dir, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("memory", ["0", "-5"])
+def test_train_memory_below_one_exit_1(dataset_dir, tmp_path, capsys, memory):
+    code = main([
+        "train", "--net", str(CONFIGS / "tinynet.net"),
+        "--plan", str(CONFIGS / "plan_d1m1.plan"),
+        "--epochs", "1", "--batch", "8", "--seed", "1",
+        "--data", str(dataset_dir), "--out-dir", str(tmp_path / "x"),
+        "--memory", memory,
+    ])
+    assert code == 1
+    assert f"memory capacity must be >= 1 byte, got {memory}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_estimate_table(cost_file, capsys):
     code = main([
         "estimate", "--net", str(CONFIGS / "tinynet.net"),

@@ -226,8 +226,11 @@ def _padded_windows(x, k, stride, pad):
     return win[:, :, ::stride, ::stride]
 
 
-# (channels-last?, stride > 1): each exact oracle draws all four
-EVERY_LAYOUT = {(False, False), (False, True), (True, False), (True, True)}
+# (channels-last?, stride > 1): the forward's exact oracle draws all four; the
+# transposed conv runs channels-last, the weight-only backward channels-first
+CHANNELS_FIRST = {(False, False), (False, True)}
+CHANNELS_LAST = {(True, False), (True, True)}
+EVERY_LAYOUT = CHANNELS_FIRST | CHANNELS_LAST
 
 
 def _integer_geometries():
@@ -254,7 +257,7 @@ def _integer_geometries():
 def test_conv_input_gradient_matches_scatter_oracle(unfolds):
     """The transposed conv against scattering each window's gradient back onto the
     pixels it covers, bitwise on the integer-valued geometries, from
-    channels-first and channels-last columns, of grad_out spread or not."""
+    channels-last rows of grad_out, spread or not."""
     kinds, wide_pads, layouts = set(), 0, set()
     for k, stride, pad, x, weights, g in _integer_geometries():
         kinds.add((stride > k) - (stride < k))
@@ -268,7 +271,7 @@ def test_conv_input_gradient_matches_scatter_oracle(unfolds):
         assert np.array_equal(got, want), (k, stride, pad, last)
     assert kinds == {-1, 0, 1}  # overlapping, abutting and gapped windows all drawn
     assert wide_pads > 0
-    assert layouts == EVERY_LAYOUT
+    assert layouts == CHANNELS_LAST
 
 
 def test_conv_forward_matches_exact_oracle(unfolds):
@@ -291,7 +294,8 @@ def test_conv_weight_gradient_of_both_paths_matches_exact_oracle(unfolds):
     """The weight gradient from grad_out's columns (input_grad=True) and from
     x's (input_grad=False) both equal an einsum over x's windows, and the bias
     gradient equals grad_out's sum, bitwise on the integer-valued geometries,
-    each route from columns of both layouts, at stride 1 and larger."""
+    at stride 1 and larger: the first route from channels-last rows, the
+    second from channels-first columns."""
     layouts = {True: set(), False: set()}
     for k, stride, pad, x, weights, g in _integer_geometries():
         win = _padded_windows(x, k, stride, pad)
@@ -304,14 +308,16 @@ def test_conv_weight_gradient_of_both_paths_matches_exact_oracle(unfolds):
             assert gw.shape == weights.shape and gw.flags.c_contiguous
             assert np.array_equal(gw, want_w), (k, stride, pad, input_grad, last)
             assert np.array_equal(gb, want_b), (k, stride, pad, input_grad, last)
-    assert layouts[True] == layouts[False] == EVERY_LAYOUT
+    assert layouts[True] == CHANNELS_LAST
+    assert layouts[False] == CHANNELS_FIRST
 
 
 def test_conv_unfolds_one_array_per_call(unfolds):
     """The forward unfolds x; the backward unfolds grad_out when it computes the
-    input gradient and x when it does not, once per call either way, in the
-    layout whose contiguous runs are longer: here x channels-first (k*C 9
-    against W' 10) and grad_out channels-last (k*N 12 against W 10)."""
+    input gradient and x when it does not, once per call either way: the
+    forward in the layout whose contiguous runs are longer, here
+    channels-first (k*C 9 against W' 10), grad_out channels-last and x for
+    the weight gradient alone channels-first."""
     rs = R(5)
     x, w, b, g = rs.randn(2, 3, 10, 10), rs.randn(4, 3, 3, 3), rs.randn(4), rs.randn(2, 4, 10, 10)
     calls = [
@@ -339,19 +345,19 @@ def _conv_layouts(unfolds, net, columns, index):
 
 
 def test_conv_layout_rule_on_shipped_layers(unfolds):
-    """midnet's layer 0 stays channels-first (k*C 15 against W' 24); its
-    layer 3 goes channels-last in the forward (k*C 80 against W' 12) and the
-    transposed conv (k*N 160, 80, 40 against W 12) at N = 32, 16 and 8.
-    tinynet d1m4's layer 3 has a channels-last forward (k*C 24 against W' 8)
-    and a channels-first transposed conv (k*N 6 against W 8), so one plan
-    runs both layouts."""
+    """midnet's layer 0 stays channels-first (k*C 15 against W' 24) in the
+    forward and in the backward without the input gradient; its layer 3 goes
+    channels-last in the forward (k*C 80 against W' 12) and the transposed
+    conv at N = 32, 16 and 8. tinynet d1m4's layer 3 is channels-last both
+    ways (k*C 24 against W' 8), its transposed conv although k*N is 6
+    against W 8."""
     mid = load_network(CONFIGS.parent / "stepbench" / "configs" / "midnet.net")
     for columns, filters in ((1, 32), (2, 16), (4, 8)):
         assert _conv_layouts(unfolds, mid, columns, 0) == (16 // columns, False, False)
         assert _conv_layouts(unfolds, mid, columns, 3) == (filters, True, True)
     tiny = load_network(CONFIGS / "tinynet.net")
     assert _conv_layouts(unfolds, tiny, 4, 0) == (2, False, False)
-    assert _conv_layouts(unfolds, tiny, 4, 3) == (2, True, False)
+    assert _conv_layouts(unfolds, tiny, 4, 3) == (2, True, True)
 
 
 @pytest.mark.parametrize("batch", [1, 4, 7], ids=["batch1", "batch4", "batch7"])
@@ -359,10 +365,9 @@ def test_conv_layout_rule_on_shipped_layers(unfolds):
 def test_conv_per_sample_unfold_matches_oracles(batch, stride, pad):
     """One sample per unfold, through a frame and columns that every sample
     reuses: forward and all three gradients stay within 1e-12 of loop and
-    einsum oracles, for one sample and for several. C = 3 and N = 4 unfold
-    x channels-first at stride 1 (k*C 9 against W' 11 at pad 2) and grad_out
-    channels-last (k*N 12 against W 9); the wide C = 8 with N = 2 the other
-    way round (24 against 11, 6 against 9)."""
+    einsum oracles, for one sample and for several. C = 3 unfolds x
+    channels-first at stride 1 (k*C 9 against W' 11 at pad 2), the wide
+    C = 8 channels-last (24 against 11); grad_out is always channels-last."""
     for c, n in ((3, 4), (8, 2)):
         rs = R(stride * 10 + pad + 100 * (c == 8))
         x = rs.randn(batch, c, 9, 9)
@@ -503,6 +508,8 @@ def test_fc_matches_naive_matmul():
 def test_fc_shape_error():
     with pytest.raises(ShapeError):
         fc_forward(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        fc_backward(np.ones((2, 3)), np.ones((5, 4)), np.ones((2, 4)))
 
 
 def test_fc_backward_trivial_cases():

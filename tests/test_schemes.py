@@ -278,6 +278,35 @@ def test_empty_batch_rejected():
         hybrid_step(fab, plan, cs, x, y)
 
 
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_bad_batch_rejected_before_any_worker_starts(sched):
+    """A label short, samples of the wrong shape and labels outside
+    [0, classes) each raise a ValidationError naming the problem before any
+    worker starts; the next step then trains as on a fresh fabric."""
+    plan = ParallelPlan(2, 1)
+    cs = plan_columnized(TINY, plan)
+    x, y = make_batch(TINY, 8)
+    high, low = y.copy(), y.copy()
+    high[3], low[5] = TINY.classes, -1
+    fab = spawn(2, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    bad = [
+        (x, y[:7], r"labels of shape \(7,\) for 8 samples"),
+        (x[:, :, :15, :15], y, r"samples of shape \(3, 15, 15\)"),
+        (x, high, r"labels must lie in \[0, 10\)"),
+        (x, low, r"labels must lie in \[0, 10\)"),
+    ]
+    for bad_x, bad_y, message in bad:
+        with pytest.raises(ValidationError, match=message):
+            hybrid_step(fab, plan, cs, bad_x, bad_y)
+    assert fab.ledger.total_bytes == 0
+    fresh = spawn(2, scheduling=sched)
+    setup_workers(fresh, plan, cs, init_dense_params(TINY, 0), SgdState())
+    assert hybrid_step(fab, plan, cs, x, y) == hybrid_step(fresh, plan, cs, x, y)
+    got, want = gather_dense_params(fab, plan, cs), gather_dense_params(fresh, plan, cs)
+    assert all(got[i][key].tobytes() == want[i][key].tobytes() for i in want for key in ("w", "b"))
+
+
 def test_second_setup_gives_back_accounted_memory():
     plan = ParallelPlan(2, 1)
     cs = plan_columnized(TINY, plan)
