@@ -70,7 +70,24 @@ column buffer that each call allocates and reuses from sample to sample. A
 sample's frame and columns are small (0.36-0.99 MB on midnet's layers, within
 a 2 MiB L2 cache), so its columns are still cached when its GEMM reads them,
 where blocks of several samples spill; and the per-sample GEMM is the one a
-batched matmul runs anyway, so the unfold needs no size rule.
+batched matmul runs anyway.
+
+The size rule is on the GEMMs instead. The two channels-last products, the
+forward's rows @ w and the transposed conv's rows @ wt, run in the fewest
+row blocks of at most SMALL_GEMM = 100**3 multiply-adds each (_row_blocks):
+OpenBLAS's SkylakeX DGEMM hands a product that small to a kernel that skips
+packing its operands (Goto & van de Geijn, "Anatomy of High-Performance
+Matrix Multiplication", 2008), and just past the limit the packed path took
+1.4-2.2x as long. On midnet's layer 3 at N = 32 each product, 1.84e6
+multiply-adds, runs as two 72-row blocks of 0.92e6; at N = 16 and below it
+fits whole, so the d1m2 and d2m2 columns run as before. A block's rows are
+summed by another kernel than the whole product's, so blocked results move
+at rounding. Not blocked: the weight gradient's x[s] @ rows (16 x 144 @
+144 x 800 on that layer), where halving its rows, its columns or its inner
+dimension each ran slower than one product, and the channels-first products
+w @ columns and go[s] @ columns^T, whose largest on midnet (layer 0) is
+0.69e6. Where OpenBLAS picks a core without the small kernel (BLAS_CORE
+names the core), the blocks cost 1-5% on those two products (Haswell).
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -78,7 +95,10 @@ fabric's workers are the parallelism, and a single-threaded GEMM gives
 bit-identical results whichever worker thread runs it, which the fabric's
 determinism contract relies on. BLAS_THREADS records the outcome: the thread
 count read back after pinning, or None when the symbol is absent and BLAS was
-left as it was.
+left as it was. BLAS_CORE names the core OpenBLAS picked for this CPU (such
+as SkylakeX), read through `scipy_openblas_get_corename64_`, or None when that
+symbol is absent: the GEMM blocks above pay off only on a core with the
+small-matrix kernel.
 
 Importing it also pins glibc's malloc, for the whole process, so that a step
 reuses the memory the step before it freed rather than faulting it in again.
@@ -113,22 +133,30 @@ except ImportError:  # numpy < 2
 FLOAT = np.float64
 
 
-def _pin_blas() -> int | None:
-    """Set numpy's OpenBLAS to one thread; the thread count after, or None if
-    numpy's extension module does not link the scipy-openblas64 setter."""
+def _pin_blas() -> tuple[int | None, str | None]:
+    """Set numpy's OpenBLAS to one thread; the thread count after and the name
+    of the core OpenBLAS picked, each None if numpy's extension module does not
+    link the scipy-openblas64 symbol it is read through."""
     try:
         lib = ctypes.CDLL(_multiarray_umath.__file__)
-        setter = lib.scipy_openblas_set_num_threads64_
-        getter = lib.scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter(1)
-    return getter()
+    except OSError:
+        return None, None
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    threads = core = None
+    if setter is not None and getter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(1)
+        threads = getter()
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = (corename() or b"").decode() or None
+    return threads, core
 
 
-BLAS_THREADS = _pin_blas()
+BLAS_THREADS, BLAS_CORE = _pin_blas()
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # glibc's malloc.h
 MALLOC_SETTINGS = ((M_MMAP_THRESHOLD, 32 * 2**20), (M_TRIM_THRESHOLD, 64 * 2**20), (M_ARENA_MAX, 1))
@@ -243,6 +271,30 @@ def _unfolded(
         yield s, flat
 
 
+# OpenBLAS's SkylakeX DGEMM (the core numpy's OpenBLAS 0.3.31 picks on an
+# AVX-512 Xeon) hands a product of at most 100**3 multiply-adds to a
+# small-matrix kernel that skips packing its operands, the overhead Goto & van
+# de Geijn analyse ("Anatomy of High-Performance Matrix Multiplication", 2008).
+# Just past the limit the packed path took 1.4-2.2x as long (one thread,
+# median of 301 calls, four sweeps in BENCH_smallgemm.json): (78, 800) @
+# (800, 16) 41.7 us against (80, 800) @ (800, 16) 74.3 us, and (144, 400) @
+# (400, 17) 51.8 us against (144, 400) @ (400, 18) 85.1 us, in the first.
+SMALL_GEMM = 100**3
+
+
+def _row_blocks(m: int, inner: int, n: int) -> list[slice]:
+    """The fewest row blocks of an (m, inner) @ (inner, n) product that each
+    take at most SMALL_GEMM multiply-adds, their row counts within one of each
+    other; one block when inner*n alone exceeds that."""
+    most = SMALL_GEMM // (inner * n)  # rows per block; 0 when one row is too many
+    if most == 0 or m <= most:
+        return [slice(0, m)]
+    blocks = -(-m // most)
+    size, extra = divmod(m, blocks)  # the first `extra` blocks take a row more
+    bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def conv2d_forward(
     x: np.ndarray,
     w: np.ndarray,
@@ -261,8 +313,10 @@ def conv2d_forward(
     if k * c > wo:  # channels-last runs are longer: rows @ w, copied transposed into out[s]
         wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * c, n)
         product = np.empty((ho * wo, n), dtype=FLOAT)
+        blocks = _row_blocks(ho * wo, k * k * c, n)
         for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
-            np.matmul(rows, wmat, out=product)
+            for blk in blocks:
+                np.matmul(rows[blk], wmat, out=product[blk])
             out[s] = product.T
     else:
         wmat = w.reshape(n, c * k * k)
@@ -312,9 +366,11 @@ def conv2d_backward(
     grad_wt = np.zeros((c, k * k * n), dtype=FLOAT)
     product = np.empty((h * wd, c), dtype=FLOAT)
     frame = (h + k - 1, wd + k - 1)
+    blocks = _row_blocks(h * wd, k * k * n, c)
     for s, rows in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, True):
-        np.matmul(rows, wt, out=product)  # copied transposed into grad_x[s]
-        grad_x[s] = product.T
+        for blk in blocks:
+            np.matmul(rows[blk], wt, out=product[blk])
+        grad_x[s] = product.T  # the product copied transposed
         grad_wt += xs[s] @ rows
     grad_w = grad_wt.reshape(c, k, k, n).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
     return grad_x.reshape(batch, c, h, wd), np.ascontiguousarray(grad_w), grad_bias
@@ -431,8 +487,10 @@ def softmax_xent_scaled(
     mean gradient exactly.
     """
     _require(logits.ndim == 2, f"logits must be 2-d, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     _require(labels.shape == (logits.shape[0],), "labels length must equal batch size")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels of dtype {labels.dtype}: class labels are integers")
     k = logits.shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValidationError(f"labels must lie in [0, {k})")
@@ -450,7 +508,6 @@ def softmax_xent_scaled(
 
 def softmax_xent(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient (softmax - onehot)/B."""
-    labels = np.asarray(labels, dtype=np.int64)
     _require(logits.shape[0] >= 1, "softmax_xent needs at least one row")
     return softmax_xent_scaled(logits, labels, 1.0 / logits.shape[0])
 

@@ -512,6 +512,27 @@ def _state(ctx: Worker, plan: ParallelPlan, cs: ColumnizedSpec) -> dict:
     return ctx.local
 
 
+def _check_batch(cs: ColumnizedSpec, x: np.ndarray, labels) -> np.ndarray:
+    """The batch's labels as an array, once the batch fits the network: samples
+    of its input shape, one integer label per sample, each in [0, classes).
+    Raises a ValidationError naming the problem otherwise."""
+    net = cs.base
+    labels = np.asarray(labels)
+    if x.shape[1:] != net.input_shape:
+        raise ValidationError(f"samples of shape {x.shape[1:]}: {net.name} takes {net.input_shape}")
+    if labels.shape != x.shape[:1]:
+        raise ValidationError(
+            f"labels of shape {labels.shape} for {x.shape[0]} samples: one label each"
+        )
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels of dtype {labels.dtype}: class labels are integers")
+    if labels.size and (labels.min() < 0 or labels.max() >= net.classes):
+        raise ValidationError(
+            f"labels must lie in [0, {net.classes}), got {labels.min()} to {labels.max()}"
+        )
+    return labels
+
+
 def hybrid_step(
     fabric: Fabric,
     plan: ParallelPlan,
@@ -527,18 +548,7 @@ def hybrid_step(
     d, m = plan.data_shards, plan.model_columns
     b = batch_x.shape[0]
     shard = plan.shard(b)
-    labels = np.asarray(batch_y, dtype=np.int64)
-    net = cs.base
-    if batch_x.shape[1:] != net.input_shape:
-        raise ValidationError(
-            f"samples of shape {batch_x.shape[1:]}: {net.name} takes {net.input_shape}"
-        )
-    if labels.shape != (b,):
-        raise ValidationError(f"labels of shape {labels.shape} for {b} samples: one label each")
-    if labels.min() < 0 or labels.max() >= net.classes:
-        raise ValidationError(
-            f"labels must lie in [0, {net.classes}), got {labels.min()} to {labels.max()}"
-        )
+    labels = _check_batch(cs, batch_x, batch_y)
     loss_scale = 1.0 / b
 
     args = []
@@ -598,10 +608,11 @@ def evaluation_errors(
     """Misclassification count over a batch, computed on replica 0's columns.
 
     Forward-only; argmax ties break to the lowest class index. The exchange
-    traffic is ledgered like any other fabric communication.
+    traffic is ledgered like any other fabric communication. The batch is
+    checked as hybrid_step checks it, before any worker starts.
     """
     m = plan.model_columns
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _check_batch(cs, x, labels)
 
     def program(ctx: Worker):
         state = _state(ctx, plan, cs)

@@ -415,6 +415,77 @@ def test_conv_batch_is_its_samples_bit_for_bit():
         assert running.tobytes() == gw.tobytes(), (w_shape, input_grad)
 
 
+def test_row_blocks_on_shipped_layer_3():
+    """midnet's layer 3 at N = 32 cuts its forward, (144, 400) @ (400, 32), and
+    its transposed conv, (144, 800) @ (800, 16), into two 72-row products of
+    0.92e6 multiply-adds; at N = 16 and 8, and on tinynet's layer 3 at every
+    column count, each product stays whole."""
+    two = [slice(0, 72), slice(72, 144)]
+    assert kernels._row_blocks(144, 400, 32) == two
+    assert kernels._row_blocks(144, 800, 16) == two
+    for shape in ((144, 400, 16), (144, 800, 8)):
+        assert kernels._row_blocks(*shape) == [slice(0, 144)]
+    tiny = load_network(CONFIGS / "tinynet.net")
+    for columns in (1, 2, 4):
+        plan = ParallelPlan(1, columns, (3,) if columns > 1 else ())
+        cl = plan_columnized(tiny, plan).col_layers[3]
+        (n, c, k, _), (_, h, w), (_, ho, wo) = cl.weight_shape, cl.in_shape, cl.out_shape
+        assert kernels._row_blocks(ho * wo, k * k * c, n) == [slice(0, ho * wo)]
+        assert kernels._row_blocks(h * w, k * k * n, c) == [slice(0, h * w)]
+
+
+def test_row_blocks_are_the_fewest_within_the_small_kernel():
+    """Every block takes at most SMALL_GEMM multiply-adds and one block fewer
+    could not; the blocks tile the rows in order, their row counts within
+    one of each other; a single row above SMALL_GEMM leaves the product
+    whole."""
+    rs = R(21)
+    for _ in range(200):
+        m, inner, n = rs.randint(1, 600), rs.randint(1, 2000), rs.randint(1, 100)
+        blocks = kernels._row_blocks(m, inner, n)
+        sizes = [blk.stop - blk.start for blk in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == m and min(sizes) >= 1
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        if inner * n > kernels.SMALL_GEMM:
+            assert blocks == [slice(0, m)]
+            continue
+        assert max(sizes) * inner * n <= kernels.SMALL_GEMM
+        fewer = -(-m // (len(blocks) - 1)) if len(blocks) > 1 else None
+        assert fewer is None or fewer * inner * n > kernels.SMALL_GEMM
+    assert kernels._row_blocks(0, 400, 32) == [slice(0, 0)]
+
+
+def test_conv_split_products_match_exact_oracles_at_midnet_layer_3(monkeypatch):
+    """At midnet's layer-3 geometry with N = 32, where the forward's and the
+    transposed conv's products each run as two row blocks, the forward, the
+    input gradient and the weight gradient equal einsum and scatter oracles
+    bit for bit on integer-valued data."""
+    blocks, real = [], kernels._row_blocks
+
+    def spy(*shape):
+        blocks.append(real(*shape))
+        return blocks[-1]
+
+    monkeypatch.setattr(kernels, "_row_blocks", spy)
+    rs = R(34)
+    x = rs.randint(-9, 10, size=(2, 16, 12, 12)).astype(np.float64)
+    w = rs.randint(-9, 10, size=(32, 16, 5, 5)).astype(np.float64)
+    b = rs.randint(-9, 10, size=32).astype(np.float64)
+    g = rs.randint(-9, 10, size=(2, 32, 12, 12)).astype(np.float64)
+    out = conv2d_forward(x, w, b, 1, 2)
+    gx, gw, gb = conv2d_backward(x, w, g, 1, 2)
+    assert [len(split) for split in blocks] == [2, 2]
+    win = _padded_windows(x, 5, 1, 2)
+    want_out = np.einsum("nckl,bcyxkl->bnyx", w, win) + b[:, None, None]
+    want_gx = naive_col2im(np.einsum("nckl,bnyx->bcklyx", w, g), (12, 12), 1, 2)
+    want_gw = np.einsum("bnyx,bcyxkl->nckl", g, win)
+    assert out.tobytes() == want_out.tobytes()
+    assert gx.tobytes() == want_gx.tobytes()
+    assert gw.tobytes() == want_gw.tobytes()
+    assert gb.tobytes() == np.einsum("bnyx->n", g).tobytes()
+
+
 def test_conv_empty_batch():
     x, w = np.ones((0, 2, 5, 5)), np.ones((3, 2, 3, 3))
     out = conv2d_forward(x, w, np.zeros(3), 1, 1)
@@ -424,23 +495,40 @@ def test_conv_empty_batch():
     assert not gw.any() and not gb.any()
 
 
-def test_blas_pinned_to_one_thread():
-    """numpy's OpenBLAS, asked through its C API as stepbench/run.py asks it."""
+def _loaded_openblas_symbol(name):
+    """The symbol `name` of an OpenBLAS library this process has loaded, found
+    through /proc/self/maps as stepbench/run.py finds it, or None."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         pytest.skip("no /proc/self/maps to find the loaded OpenBLAS")
-    getter = None
     for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}):
-        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            break
+        symbol = getattr(ctypes.CDLL(path), name, None)
+        if symbol is not None:
+            return symbol
+    return None
+
+
+def test_blas_pinned_to_one_thread():
+    """numpy's OpenBLAS, asked through its C API as stepbench/run.py asks it."""
+    getter = _loaded_openblas_symbol("scipy_openblas_get_num_threads64_")
     if getter is None:
         assert kernels.BLAS_THREADS is None
         pytest.skip("numpy's BLAS exports no scipy_openblas_get_num_threads64_")
     getter.argtypes, getter.restype = [], ctypes.c_int
     assert getter() == 1
     assert kernels.BLAS_THREADS == 1
+
+
+def test_blas_core_recorded():
+    """BLAS_CORE is the core name numpy's OpenBLAS reports, or None when it
+    exports no scipy_openblas_get_corename64_."""
+    corename = _loaded_openblas_symbol("scipy_openblas_get_corename64_")
+    if corename is None:
+        assert kernels.BLAS_CORE is None
+        pytest.skip("numpy's BLAS exports no scipy_openblas_get_corename64_")
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    assert kernels.BLAS_CORE == corename().decode() and kernels.BLAS_CORE
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -687,6 +775,20 @@ def test_softmax_label_out_of_range():
         softmax_xent(np.zeros((2, 3)), [0, 3])
     with pytest.raises(ValidationError):
         softmax_xent(np.zeros((2, 3)), [-1, 0])
+
+
+def test_softmax_rejects_non_integer_labels():
+    """Labels are class indices: float labels are refused, not truncated."""
+    for call in (
+        lambda: softmax_xent(np.zeros((2, 3)), [0.9, 2.2]),
+        lambda: softmax_xent(np.zeros((2, 3)), np.array([0.0, 2.0])),
+        lambda: softmax_xent_scaled(np.zeros((2, 3)), np.array([True, False]), 0.5),
+    ):
+        with pytest.raises(ValidationError, match="labels of dtype"):
+            call()
+    for dtype in (np.int8, np.uint16, np.int64):
+        loss, _ = softmax_xent(np.zeros((2, 3)), np.array([0, 2], dtype=dtype))
+        assert loss == pytest.approx(math.log(3))
 
 
 def test_softmax_finite_difference():

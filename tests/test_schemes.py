@@ -307,6 +307,54 @@ def test_bad_batch_rejected_before_any_worker_starts(sched):
     assert all(got[i][key].tobytes() == want[i][key].tobytes() for i in want for key in ("w", "b"))
 
 
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_evaluation_errors_rejects_bad_batch_before_any_worker_starts(sched):
+    """evaluation_errors checks its batch as hybrid_step does: 1 or 7 labels
+    for 8 samples, samples of the wrong shape, a label outside [0, classes)
+    and float labels each raise a ValidationError naming the problem before
+    any worker starts; the next call counts as on a fresh fabric."""
+    plan = ParallelPlan(1, 2, (3,))
+    cs = plan_columnized(TINY, plan)
+    x, y = make_batch(TINY, 8)
+    high = y.copy()
+    high[3] = TINY.classes
+    fab = spawn(2, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    bad = [
+        (x, y[:1], r"labels of shape \(1,\) for 8 samples"),
+        (x, y[:7], r"labels of shape \(7,\) for 8 samples"),
+        (x[:, :, :15, :15], y, r"samples of shape \(3, 15, 15\)"),
+        (x, high, r"labels must lie in \[0, 10\)"),
+        (x, y + 0.7, r"labels of dtype float64"),
+    ]
+    for bad_x, bad_y, message in bad:
+        with pytest.raises(ValidationError, match=message):
+            evaluation_errors(fab, plan, cs, bad_x, bad_y)
+    assert fab.ledger.total_bytes == 0
+    fresh = spawn(2, scheduling=sched)
+    setup_workers(fresh, plan, cs, init_dense_params(TINY, 0), SgdState())
+    assert evaluation_errors(fab, plan, cs, x, y) == evaluation_errors(fresh, plan, cs, x, y)
+    assert fab.ledger.total_bytes == fresh.ledger.total_bytes > 0
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+def test_hybrid_step_rejects_non_integer_labels(sched):
+    """Float labels, even whole-valued ones, are refused rather than truncated;
+    the next step trains as on a fresh fabric."""
+    plan = ParallelPlan(2, 1)
+    cs = plan_columnized(TINY, plan)
+    x, y = make_batch(TINY, 8)
+    fab = spawn(2, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
+    for bad_y in (y + 0.7, y.astype(np.float64)):
+        with pytest.raises(ValidationError, match="labels of dtype float64"):
+            hybrid_step(fab, plan, cs, x, bad_y)
+    fresh = spawn(2, scheduling=sched)
+    setup_workers(fresh, plan, cs, init_dense_params(TINY, 0), SgdState())
+    assert hybrid_step(fab, plan, cs, x, y) == hybrid_step(fresh, plan, cs, x, y)
+    assert hybrid_step(fab, plan, cs, x, y.astype(np.int32)) == hybrid_step(fresh, plan, cs, x, y)
+
+
 def test_second_setup_gives_back_accounted_memory():
     plan = ParallelPlan(2, 1)
     cs = plan_columnized(TINY, plan)
