@@ -3,7 +3,8 @@
 Every random draw in the package (weight init, per-epoch shuffles, synthetic
 data) comes from a SplitMix64 stream so that any run is reproducible from a
 single integer seed, independent of numpy's global RNG state and of library
-versions.
+versions. Gaussian, uniform and shuffle draws all take their raw outputs from
+`SplitMix64.next_u64_array`.
 
 Substreams are derived with `derive`, which mixes a domain constant and an
 index into the seed. The domain constants below are part of the on-disk /
@@ -41,28 +42,9 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return _mix(self.state)
-
-    def uniform(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def below(self, n: int) -> int:
-        """Integer in [0, n). Plain modulo; bias is irrelevant at these sizes
-        and the fixed rule keeps shuffles reproducible everywhere."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        return self.next_u64() % n
-
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller (consumes two raw draws)."""
-        return float(self.gauss_array(1)[0])
-
     def next_u64_array(self, n: int) -> np.ndarray:
-        """The next n raw outputs, vectorised. SplitMix64 is counter-based
-        (output_i = mix(state + i*GOLDEN)), so this matches n scalar calls."""
+        """The next n raw outputs, the one draw path. SplitMix64 is counter-based
+        (output_i = mix(state + i*GOLDEN)), so any split of n draws gives these."""
         if n == 0:
             return np.empty(0, dtype=np.uint64)
         idx = np.arange(1, n + 1, dtype=np.uint64)
@@ -92,15 +74,14 @@ class SplitMix64:
         raw = (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (raw * (high - low) + low).reshape(shape)
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates, high index down to 1."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def derive(seed: int, domain: int, index: int = 0) -> SplitMix64:
-    """Independent substream for (seed, domain, index)."""
+    """Independent substream for (seed, domain, index).
+
+    Scalar on purpose: set-up derives about thirty substreams, and a derive
+    through numpy arrays costs about ten times as much. One `_mix` shared with
+    `next_u64_array` would have to mask, slowing the array draws by a fifth.
+    """
     s = _mix((seed & _MASK) ^ (domain * _GOLDEN & _MASK))
     s = _mix(s ^ (index & _MASK))
     return SplitMix64(s)
@@ -109,9 +90,15 @@ def derive(seed: int, domain: int, index: int = 0) -> SplitMix64:
 def permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     """The epoch's sample order: Fisher-Yates driven by derive(seed, SHUFFLE, epoch).
 
+    For i from n-1 down to 1, item i swaps with item draw % (i+1), the n-1
+    draws taken in one array call (plain modulo: a fixed, reproducible rule).
+
     This is the only source of batch order, so the sequence of sample indices
     per batch depends on (seed, epoch) alone and never on the parallel plan.
     """
-    perm = np.arange(n, dtype=np.int64)
-    derive(seed, DOMAIN_SHUFFLE, epoch).shuffle(perm)
-    return perm
+    perm = list(range(n))
+    draws = derive(seed, DOMAIN_SHUFFLE, epoch).next_u64_array(max(n - 1, 0))
+    picks = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()  # j for i = n-1 ... 1
+    for i, j in zip(range(n - 1, 0, -1), picks):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)

@@ -186,32 +186,39 @@ def split_params(dense: ParamSet, cs: ColumnizedSpec, column: int) -> ParamSet:
     return out
 
 
+def check_dense_layout(cs: ColumnizedSpec) -> None:
+    """Raise unless the column parameters merge back into the dense layout:
+    no split layer may consume a column slice, as a grouped layer has no
+    dense counterpart."""
+    dense_in = {cl.index: cl.in_shape for cl in columnize(cs.base, 1).param_layers()}
+    for cl in cs.param_layers():
+        if not (cl.shared or cl.cross) and cl.in_shape != dense_in[cl.index]:
+            raise ValidationError(
+                f"layer {cl.index} consumes a column slice (grouped); no dense equivalent exists"
+            )
+
+
 def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
     """Reassemble column slices into the dense layout (inverse of split_params).
 
-    Only defined when no split layer consumes a column slice; a grouped layer
-    has no dense counterpart and raises.
+    Only defined when `check_dense_layout` passes; a grouped layer raises.
     """
     m = cs.columns
     if len(per_column) != m:
         raise ValidationError(f"merge_params needs {m} column sets, got {len(per_column)}")
+    check_dense_layout(cs)
     dense_layers = {cl.index: cl for cl in columnize(cs.base, 1).param_layers()}
     out: ParamSet = {}
     for cl in cs.param_layers():
         idx = cl.index
-        dense_cl = dense_layers[idx]
         if cl.shared:
             for other in per_column[1:]:
                 if not np.array_equal(other[idx]["w"], per_column[0][idx]["w"]):
                     raise ValidationError(
                         f"layer {idx}: replicated head copies diverged across columns"
                     )
-        elif not cl.cross and cl.in_shape != dense_cl.in_shape:
-            raise ValidationError(
-                f"layer {idx} consumes a column slice (grouped); no dense equivalent exists"
-            )
-        w = np.zeros(dense_cl.weight_shape, dtype=np.float64)
-        b = np.zeros(dense_cl.bias_shape, dtype=np.float64)
+        w = np.zeros(dense_layers[idx].weight_shape, dtype=np.float64)
+        b = np.zeros(dense_layers[idx].bias_shape, dtype=np.float64)
         for j in range(1 if cl.shared else m):
             wi, bi = _owned(cl, j, w.shape[1])
             w[wi] = per_column[j][idx]["w"]

@@ -30,6 +30,7 @@ from .netdef import DEFAULT_MEMORY, NetworkSpec, worker_footprint_bytes
 from .schemes import (
     ParallelPlan,
     ParamSet,
+    check_dense_layout,
     evaluation_errors,
     gather_dense_params,
     hybrid_step,
@@ -228,8 +229,12 @@ def run_equivalence(
     losses and final parameters against the single-worker reference."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    for plan in plans:
-        plan.shard(batch)  # before any training
+    for plan in plans:  # before any training
+        plan.shard(batch)
+        try:
+            check_dense_layout(plan_columnized(net, plan))
+        except ValidationError as err:
+            raise ValidationError(f"plan {plan.describe()}: {err}") from None
     data = equivalence_data(net, batch, seed)
     batches = [chosen for _, chosen in itertools.islice(_batches(seed, data.size, batch), steps)]
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from parconv import trainer
 from parconv.cli import main
 from parconv.costmodel import CostParams, save_cost_params
 from parconv.metrics import read_csv
@@ -38,11 +39,13 @@ def test_gen_data_deterministic(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_gen_data_bad_shape_exit_1(capsys):
-    code = main(["gen-data", "--classes", "2", "--per-class", "4", "--shape", "3x16",
-                 "--seed", "0", "--out", "/tmp/ignored"])
-    assert code == 1
-    assert "CxHxW" in capsys.readouterr().err
+def test_gen_data_bad_shape_exit_1(tmp_path, capsys):
+    for shape, message in [("3x16", "--shape must be CxHxW, got '3x16'"),
+                           ("3xax4", "--shape must be CxHxW integers, got '3xax4'")]:
+        code = main(["gen-data", "--classes", "2", "--per-class", "4", "--shape", shape,
+                     "--seed", "0", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", ["0x4x4", "1x-2x4"])
@@ -75,6 +78,13 @@ def test_verify_steps_below_one_exit_1(capsys, steps):
     assert "coincide" not in captured.out
 
 
+def test_verify_no_plan_files_exit_1(capsys):
+    code = main(["verify", "--net", str(CONFIGS / "tinynet.net"), "--plans", ","])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--plans names no plan files" in captured.err and captured.out == ""
+
+
 def test_verify_four_plans_exit_0(capsys):
     plans = ",".join(
         str(CONFIGS / name)
@@ -88,6 +98,25 @@ def test_verify_four_plans_exit_0(capsys):
     assert code == 0
     assert out.count(" ok") == 4
     assert "coincide" in out
+
+
+def test_verify_grouped_plan_rejected_before_training(tmp_path, capsys, monkeypatch):
+    """A plan whose split conv reads its column's slice has no dense layout to
+    compare; it is named before any plan trains."""
+    grouped = tmp_path / "grouped.plan"
+    grouped.write_text("data_shards 1\nmodel_columns 2\n")
+    trained = []
+    monkeypatch.setattr(trainer, "reference_step", lambda *a, **k: trained.append(a))
+    code = main([
+        "verify", "--net", str(CONFIGS / "tinynet.net"),
+        "--plans", f"{CONFIGS / 'plan_d1m1.plan'},{grouped}", "--steps", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "plan d1xm2: layer 3 consumes a column slice (grouped)" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert trained == []
 
 
 def test_train_writes_outputs_and_is_deterministic(tmp_path, dataset_dir, cost_file, capsys):
@@ -131,6 +160,23 @@ def test_train_scheduling_modes_identical_files(tmp_path, dataset_dir):
         assert code == 0
         outs.append(out)
     assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+
+
+def test_train_on_train_file_has_no_test_split(tmp_path, dataset_dir, capsys):
+    """--data naming the train file itself trains without a test split: no
+    test-error column values and no test-error plot."""
+    out = tmp_path / "run"
+    code = main([
+        "train", "--net", str(CONFIGS / "tinynet.net"),
+        "--plan", str(CONFIGS / "plan_d1m1.plan"),
+        "--epochs", "1", "--batch", "8", "--seed", "1",
+        "--data", str(dataset_dir / "train.psds"), "--out-dir", str(out),
+    ])
+    assert code == 0
+    assert "test error" not in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["loss_vs_updates.svg", "metrics.csv"]
+    records = read_csv(out / "metrics.csv")
+    assert len(records) == 10 and all(r.test_error is None for r in records)
 
 
 def test_train_epochs_zero_exit_1(dataset_dir, tmp_path, capsys):
@@ -298,6 +344,7 @@ def test_calibrate_cli_reproduces_table1(tmp_path, capsys):
     [
         ("3,x", "1,1,10.5\n1,2,6.6\n2,1,7.0\n4,1,7.2\n", "'3,x'"),
         ("3", "# obs\n1,1,10.5\n\n1,2,six # bad\n", ":4: bad numbers in '1,2,six'"),
+        ("3", "1,1,10.5\n1,2\n", ":2: expected 'd,m,days', got '1,2'"),
     ],
 )
 def test_calibrate_bad_inputs_exit_1(tmp_path, capsys, cross, table, named):

@@ -156,6 +156,10 @@ def test_calibrate_needs_four_observations():
 def test_calibrate_rejects_infeasible_observation():
     with pytest.raises(CalibrationError, match="infeasible"):
         calibrate(TABLE1, ALEX, memory=1024)
+    for days in (0.0, -1.0):
+        bad = TABLE1[:-1] + [(TABLE1[-1][0], days)]
+        with pytest.raises(CalibrationError, match=f"days must be positive, got {days} for d2xm2"):
+            calibrate(bad, ALEX)
 
 
 def test_calibrate_reproduces_all_rows_within_10_percent(table1_fit):
@@ -260,3 +264,5 @@ def test_cost_params_validation():
         CostParams(throughput=1, bandwidth=1, latency=0, b_half=math.nan)
     with pytest.raises(ValidationError, match="memory must be finite"):
         CostParams(throughput=1, bandwidth=1, latency=0, b_half=1, memory=math.inf)
+    with pytest.raises(ValidationError, match="memory capacity must be positive"):
+        CostParams(throughput=1, bandwidth=1, latency=0, b_half=1, memory=0)

@@ -32,6 +32,8 @@ def test_split_sizes_and_labels():
 
 
 def test_empty_split_rejected():
+    with pytest.raises(DatasetError, match="gen_synthetic needs at least 2 classes"):
+        gen_synthetic(1, 4, (1, 2, 2), seed=0)
     with pytest.raises(DatasetError, match="empty split"):
         gen_synthetic(2, 0, (1, 2, 2), seed=0)
     with pytest.raises(DatasetError, match="empty split"):
@@ -94,3 +96,7 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1, 2, 2)), np.array([0, 5]), classes=2)
     with pytest.raises(DatasetError):
         Dataset(np.zeros((2, 1, 2, 2)), np.array([0]), classes=2)
+    with pytest.raises(DatasetError, match=r"images must be \(N, C, H, W\), got \(2, 2, 2\)"):
+        Dataset(np.zeros((2, 2, 2)), np.array([0, 1]), classes=2)
+    with pytest.raises(DatasetError, match="a dataset needs at least 2 classes"):
+        Dataset(np.zeros((2, 1, 2, 2)), np.array([0, 0]), classes=1)

@@ -31,6 +31,10 @@ def _run_bounded(fab, program, timeout=60.0):
 def test_spawn_requires_workers():
     with pytest.raises(ValidationError):
         spawn(0)
+    with pytest.raises(ValidationError, match="unknown scheduling mode 'x'"):
+        spawn(2, scheduling="x")
+    with pytest.raises(ValidationError, match="need args for 2 workers, got 1"):
+        spawn(2).run(lambda ctx, value: value, args=[(1,)])
 
 
 def test_link_count():
@@ -274,6 +278,20 @@ def test_recv_from_invalid_source_names_worker(sched, src):
 
     with pytest.raises(ValidationError, match=f"worker 0: invalid source {src}$"):
         _run_bounded(fab, program)
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@pytest.mark.parametrize("dst", [5, -1, 0])
+def test_send_to_invalid_destination_names_worker(sched, dst):
+    fab = spawn(2, scheduling=sched)
+
+    def program(ctx):
+        if ctx.wid == 0:
+            ctx.send(dst, "x", np.zeros(1))
+
+    with pytest.raises(ValidationError, match=f"worker 0: invalid destination {dst}$"):
+        _run_bounded(fab, program)
+    assert fab.ledger.total_messages == 0
 
 
 def test_worker_exception_propagates():

@@ -24,6 +24,10 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[1] == "1,1,2.302585092994046,,0.5,0.0,123"
     assert text[2] == "2,1,1.0,0.25,1.0,0.0,456"
+    for bad in ("", "update,epoch\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError, match="unexpected metrics CSV header"):
+            read_csv(path)
 
 
 def test_csv_byte_deterministic(tmp_path):

@@ -72,6 +72,23 @@ def test_unknown_keyword_and_arity_errors():
     # blank and comment lines still count toward the 1-based line number
     with pytest.raises(ValidationError, match="line 4: unknown layer keyword"):
         parse_network("# net\ninput 1 4 4  # in\n\navgpool 2 2  # bad\n")
+    for text, message in [
+        ("input 1 4 4\nconv 4 x 1 1\n", "line 2: non-integer argument in 'conv 4 x 1 1'"),
+        ("input 1 4 4\ninput 1 4 4\n", "line 2: duplicate input declaration"),
+        ("input 1 4\n", "line 1: input takes C H W"),
+        ("input 1 4 4\nrelu 1\n", "line 2: relu takes no arguments"),
+        ("input 1 4 4\nmaxpool 2\n", "line 2: maxpool takes k stride"),
+        ("input 1 4 4\nfc\n", "line 2: fc takes U"),
+        ("input 1 4 4\nfc 10\nsoftmax\n", "line 3: softmax takes K"),
+        ("# no layers\n", "missing 'input C H W' declaration"),
+        ("input 0 4 4\nfc 2\nsoftmax 2\n", "input shape must be three positive extents"),
+        ("input 1 4 4\nfc 0\nsoftmax 2\n", "layer 0 (fc0): units must be positive"),
+        ("input 1 1 1\nsoftmax 1\n", "layer 0 (softmax1): softmax needs at least 2 classes"),
+        ("input 1 4 4\nfc 4\nsoftmax 4\nsoftmax 4\n", "layer 1: softmax must be the last layer"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            parse_network(text)
+        assert message in str(err.value)
 
 
 def test_shape_mismatch_names_layer_index():
@@ -205,6 +222,11 @@ def test_columnize_cross_validation():
         columnize(net, 2, (2,))
     with pytest.raises(PartitionError, match="out of range"):
         columnize(net, 2, (99,))
+    with pytest.raises(PartitionError, match="column count must be >= 1, got 0"):
+        columnize(net, 0)
+    relu_first = parse_network("input 3 8 8\nrelu\nconv 4 3 1 1\nfc 10\nsoftmax 10\n")
+    with pytest.raises(PartitionError, match="cross layer 1 already consumes a replicated"):
+        columnize(relu_first, 2, (1,))
 
 
 def test_columnize_four_way_tinynet():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parconv import kernels, schemes
-from parconv.errors import CapacityError, ValidationError
+from parconv.errors import CapacityError, ShapeError, ValidationError
 from parconv.fabric import DeviceSpec, Fabric, Worker, spawn
 from parconv.kernels import SgdState, conv2d_backward
 from parconv.netdef import columnize, load_network, parse_network
@@ -122,6 +122,17 @@ def test_merge_rejects_grouped_layers():
         merge_params(cols, cs)
 
 
+def test_merge_rejects_wrong_column_count_and_diverged_heads():
+    dense = init_dense_params(TINY, 1)
+    cs = columnize(TINY, 2, (3,))
+    cols = [split_params(dense, cs, j) for j in range(2)]
+    with pytest.raises(ValidationError, match="merge_params needs 2 column sets, got 1"):
+        merge_params(cols[:1], cs)
+    cols[1][7] = {"w": cols[1][7]["w"] + 1.0, "b": cols[1][7]["b"]}
+    with pytest.raises(ValidationError, match="layer 7: replicated head copies diverged"):
+        merge_params(cols, cs)
+
+
 def test_pack_unpack_roundtrip():
     dense = init_dense_params(MINI, 5)
     cs = columnize(MINI, 1)
@@ -156,6 +167,16 @@ def test_reference_zero_lr_keeps_params():
     out = reference_step(TINY, params, (x, y), SgdState(learning_rate=0.0))
     assert np.isfinite(out.loss)
     assert max_rel(out.params, params) == 0.0
+
+
+def test_reference_step_rejects_bad_inputs():
+    params = init_dense_params(TINY, 0)
+    x, y = make_batch(TINY, 4)
+    with pytest.raises(ValidationError, match="reference_step needs a non-empty batch"):
+        reference_step(TINY, params, (x[:0], y[:0]), SgdState())
+    velocity = reference_step(TINY, params, (x, y), SgdState()).velocity
+    with pytest.raises(ShapeError, match="reference_step: 7 velocity tensors for 8 parameters"):
+        reference_step(TINY, params, (x, y), SgdState(), velocity[:-1])
 
 
 def test_reference_uniform_logits_loss_ln10():

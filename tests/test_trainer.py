@@ -166,6 +166,20 @@ def test_runtime_meter_peak_matches_static_footprint(blobs10):
         ]
 
 
+def test_grouped_plan_trains_without_dense_params(blobs10):
+    """With no cross layer, tinynet's second conv reads its column's slice:
+    training runs, but the parameters have no dense layout to return."""
+    train_data, test_data = blobs10
+    plan = ParallelPlan(1, 2)
+    result = train(config(train_data, test_data, plan=plan))
+    assert result.final_params is None
+    losses = [r.train_loss for r in result.records]
+    assert len(losses) == 10 and all(np.isfinite(losses))
+    assert np.isfinite(result.records[-1].test_error)
+    cs = plan_columnized(TINY, plan)
+    assert result.fabric.meter.peak == [worker_footprint_bytes(cs, 8, holds_velocity=True)] * 2
+
+
 def test_memory_window_rejects_full_model_but_trains_columns(blobs10):
     train_data, _ = blobs10
     batch = 8
