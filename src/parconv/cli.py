@@ -101,12 +101,13 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # both splits first: a rejected --shape or split leaves no --out behind
     train, test = gen_synthetic(
         args.classes, args.per_class, _parse_shape(args.shape), args.seed,
         test_per_class=args.test_per_class,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_dataset(train, out / "train.psds")
     save_dataset(test, out / "test.psds")
     print(f"wrote {out / 'train.psds'} ({train.size} samples)")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import PartitionError, ValidationError
@@ -75,16 +75,19 @@ class SoftmaxXent:
 LayerSpec = Union[Conv, FC, ReLU, MaxPool, SoftmaxXent]
 
 
+# network-format keyword -> (layer type, its arguments as the format states
+# them, display-name format over the layer); the arguments are the type's fields
+_KINDS = {
+    "conv": (Conv, "N k stride pad", "conv{0.filters}k{0.kernel}"),
+    "relu": (ReLU, "no arguments", "relu"),
+    "maxpool": (MaxPool, "k stride", "maxpool{0.kernel}s{0.stride}"),
+    "fc": (FC, "U", "fc{0.units}"),
+    "softmax": (SoftmaxXent, "K", "softmax{0.classes}"),
+}
+
+
 def _layer_name(layer: LayerSpec) -> str:
-    if isinstance(layer, Conv):
-        return f"conv{layer.filters}k{layer.kernel}"
-    if isinstance(layer, FC):
-        return f"fc{layer.units}"
-    if isinstance(layer, ReLU):
-        return "relu"
-    if isinstance(layer, MaxPool):
-        return f"maxpool{layer.kernel}s{layer.stride}"
-    return f"softmax{layer.classes}"
+    return next(name for kind, _, name in _KINDS.values() if isinstance(layer, kind)).format(layer)
 
 
 @dataclass(frozen=True)
@@ -152,28 +155,12 @@ def parse_network(text: str, name: str = "net") -> NetworkSpec:
             continue
         if input_shape is None:
             raise ValidationError(f"line {lineno}: 'input C H W' must come first")
-        if keyword == "conv":
-            if len(ints) != 4:
-                raise ValidationError(f"line {lineno}: conv takes N k stride pad")
-            layers.append(Conv(ints[0], ints[1], ints[2], ints[3]))
-        elif keyword == "relu":
-            if ints:
-                raise ValidationError(f"line {lineno}: relu takes no arguments")
-            layers.append(ReLU())
-        elif keyword == "maxpool":
-            if len(ints) != 2:
-                raise ValidationError(f"line {lineno}: maxpool takes k stride")
-            layers.append(MaxPool(ints[0], ints[1]))
-        elif keyword == "fc":
-            if len(ints) != 1:
-                raise ValidationError(f"line {lineno}: fc takes U")
-            layers.append(FC(ints[0]))
-        elif keyword == "softmax":
-            if len(ints) != 1:
-                raise ValidationError(f"line {lineno}: softmax takes K")
-            layers.append(SoftmaxXent(ints[0]))
-        else:
+        if keyword not in _KINDS:
             raise ValidationError(f"line {lineno}: unknown layer keyword {keyword!r}")
+        kind, usage, _ = _KINDS[keyword]
+        if len(ints) != len(fields(kind)):
+            raise ValidationError(f"line {lineno}: {keyword} takes {usage}")
+        layers.append(kind(*ints))
     if input_shape is None:
         raise ValidationError("missing 'input C H W' declaration")
     return NetworkSpec(name=name, input_shape=input_shape, layers=tuple(layers))
@@ -279,15 +266,14 @@ def _geometry(
         return (out_u,), (math.prod(shape), out_u)
     if isinstance(layer, ReLU):
         return shape, None
-    if isinstance(layer, SoftmaxXent):
-        if layer.classes < 2:
-            raise ValidationError("softmax needs at least 2 classes")
-        if math.prod(shape) != layer.classes:
-            raise ValidationError(
-                f"softmax over {layer.classes} classes fed by {math.prod(shape)} features"
-            )
-        return (layer.classes,), None
-    raise ValidationError(f"unknown layer type {layer!r}")
+    # SoftmaxXent
+    if layer.classes < 2:
+        raise ValidationError("softmax needs at least 2 classes")
+    if math.prod(shape) != layer.classes:
+        raise ValidationError(
+            f"softmax over {layer.classes} classes fed by {math.prod(shape)} features"
+        )
+    return (layer.classes,), None
 
 
 def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
@@ -303,6 +289,9 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
         raise ValidationError(f"input shape must be three positive extents, got {net.input_shape}")
     if not net.layers:
         raise ValidationError("network has no layers")
+    for i, layer in enumerate(net.layers):
+        if not isinstance(layer, LayerSpec):
+            raise ValidationError(f"layer {i}: unknown layer type {layer!r}")
     if not isinstance(net.layers[-1], SoftmaxXent):
         raise ValidationError("the last layer must be a softmax")
     if m < 1:

@@ -53,7 +53,6 @@ from .netdef import (
     MaxPool,
     NetworkSpec,
     ReLU,
-    SoftmaxXent,
     columnize,
     config_lines,
 )
@@ -147,10 +146,7 @@ def init_dense_params(net: NetworkSpec, seed: int) -> ParamSet:
     dense = columnize(net, 1)
     params: ParamSet = {}
     for cl in dense.param_layers():
-        if isinstance(cl.layer, Conv):
-            fan_in = cl.in_shape[0] * cl.layer.kernel * cl.layer.kernel
-        else:
-            fan_in = cl.weight_shape[0]
+        fan_in = math.prod(cl.weight_shape) // math.prod(cl.bias_shape)
         w = stream.gauss_array(cl.weight_shape, std=math.sqrt(2.0 / fan_in))
         b = np.zeros(cl.bias_shape, dtype=np.float64)
         params[cl.index] = {"w": w, "b": b}
@@ -311,45 +307,65 @@ class FabricExchange:
         return acc
 
 
+def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray, first: bool):
+    """One column layer's forward and backward, side by side, as a generator.
+
+    next() yields the layer's output on input `a`; sending it the output's
+    gradient yields (input gradient, {"w", "b"} gradients or None). `first`
+    marks the column's first layer, whose input gradient (w.r.t. the image)
+    is never used. The kernels are looked up in this module at each call.
+    """
+    layer, grad = cl.layer, None
+    if isinstance(layer, Conv):
+        w, b = params[cl.index]["w"], params[cl.index]["b"]
+        g = yield conv2d_forward(a, w, b, layer.stride, layer.pad)
+        g_in, gw, gb = conv2d_backward(a, w, g, layer.stride, layer.pad, input_grad=not first)
+        grad = {"w": gw, "b": gb}
+    elif isinstance(layer, FC):
+        w, b = params[cl.index]["w"], params[cl.index]["b"]
+        g = yield fc_forward(a.reshape(a.shape[0], -1), w, b)
+        g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), w, g)
+        g_in, grad = g_in.reshape(a.shape), {"w": gw, "b": gb}
+    elif isinstance(layer, ReLU):
+        g = yield relu_forward(a)
+        g_in = relu_backward(a, g)
+    elif isinstance(layer, MaxPool):
+        out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
+        g = yield out
+        g_in = maxpool_backward(a, layer.kernel, layer.stride, g, argmax)
+    else:  # SoftmaxXent, always last: its flattened input is the logits
+        g = yield a.reshape(a.shape[0], -1)
+        g_in = g.reshape(a.shape)
+    yield g_in, grad
+
+
 def column_forward(
     cs: ColumnizedSpec,
     params: ParamSet,
     x: np.ndarray,
     exchange: FabricExchange | None,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray | None]], list[int]]:
+) -> tuple[np.ndarray, list, list[int]]:
     """One column's forward pass up to the loss layer.
 
-    Returns (logits, caches, kept): caches holds, per column layer, its input
-    and the pooling argmax (None for other layers), which column_fwd_bwd's
-    backward pass consumes; kept is the element count of each activation the
-    step keeps (the input, each cross layer's concatenation and each layer's
-    output, in that order), as worker_footprint_bytes counts them. `exchange`
-    is None when the network has one column, which never crosses.
+    Returns (logits, layers, kept): layers holds, per column layer, its
+    `_layer` generator suspended after the forward, which column_fwd_bwd
+    resumes for the backward; kept is the element count of each activation
+    the step keeps (the input, each cross layer's concatenation and each
+    layer's output, in that order), as worker_footprint_bytes counts them.
+    `exchange` is None when the network has one column, which never crosses.
     """
     a = x
     kept = [a.size]
-    caches: list[tuple[np.ndarray, np.ndarray | None]] = []
+    layers = []
     for cl in cs.col_layers:
         if cl.cross:
             a = exchange.cross_forward(cl.index, a)
             kept.append(a.size)
-        layer = cl.layer
-        argmax = None
-        if isinstance(layer, Conv):
-            w, b = params[cl.index]["w"], params[cl.index]["b"]
-            out = conv2d_forward(a, w, b, layer.stride, layer.pad)
-        elif isinstance(layer, FC):
-            out = fc_forward(a.reshape(a.shape[0], -1), params[cl.index]["w"], params[cl.index]["b"])
-        elif isinstance(layer, ReLU):
-            out = relu_forward(a)
-        elif isinstance(layer, MaxPool):
-            out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
-        else:  # SoftmaxXent, always last: its flattened input is the logits
-            out = a.reshape(a.shape[0], -1)
-        kept.append(out.size)  # at the loss layer: its logits-sized workspace
-        caches.append((a, argmax))
-        a = out
-    return a, caches, kept
+        layer = _layer(cl, params, a, not layers)
+        a = next(layer)
+        kept.append(a.size)  # at the loss layer: its logits-sized workspace
+        layers.append(layer)
+    return a, layers, kept
 
 
 def column_fwd_bwd(
@@ -366,41 +382,23 @@ def column_fwd_bwd(
     The gradient of a replicated head layer is the full gradient (identical in
     every column); gradients of split layers cover only this column's slice.
     The kept activations are accounted on `meter_ctx` in one allocation and
-    given back however the step exits.
+    given back however the step exits. Each layer's generator is dropped once
+    its backward has run, and with it the layer's input.
     """
     m = cs.columns
     accounted = 0
     try:
-        logits, caches, kept = column_forward(cs, params, x, exchange)
+        logits, layers, kept = column_forward(cs, params, x, exchange)
         if meter_ctx is not None:
             accounted = meter_ctx.alloc(sum(kept))
         loss, g = softmax_xent_scaled(logits, labels, loss_scale)
         grads: ParamSet = {}
-        for pos in range(len(cs.col_layers) - 1, -1, -1):
-            cl = cs.col_layers[pos]
-            a, argmax = caches[pos]
-            layer = cl.layer
-            if isinstance(layer, SoftmaxXent):
-                g_in = g.reshape(a.shape)
-            elif isinstance(layer, Conv):
-                # the first layer's input gradient (w.r.t. the image) is never used
-                g_in, gw, gb = conv2d_backward(
-                    a, params[cl.index]["w"], g, layer.stride, layer.pad, input_grad=pos > 0
-                )
-                grads[cl.index] = {"w": gw, "b": gb}
-            elif isinstance(layer, FC):
-                g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), params[cl.index]["w"], g)
-                grads[cl.index] = {"w": gw, "b": gb}
-                g_in = g_in.reshape(a.shape)
-            elif isinstance(layer, ReLU):
-                g_in = relu_backward(a, g)
-            else:  # MaxPool
-                g_in = maxpool_backward(a, layer.kernel, layer.stride, g, argmax)
+        for cl in reversed(cs.col_layers):
+            g, grad = layers.pop().send(g)
+            if grad is not None:
+                grads[cl.index] = grad
             if cl.cross:
-                contribution = g_in / m if cl.shared else g_in
-                g = exchange.cross_backward(cl.index, contribution)
-            else:
-                g = g_in
+                g = exchange.cross_backward(cl.index, g / m if cl.shared else g)
     finally:
         if accounted:
             meter_ctx.free_bytes(accounted)

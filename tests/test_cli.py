@@ -40,12 +40,16 @@ def test_gen_data_deterministic(tmp_path, capsys):
 
 
 def test_gen_data_bad_shape_exit_1(tmp_path, capsys):
-    for shape, message in [("3x16", "--shape must be CxHxW, got '3x16'"),
-                           ("3xax4", "--shape must be CxHxW integers, got '3xax4'")]:
-        code = main(["gen-data", "--classes", "2", "--per-class", "4", "--shape", shape,
+    for classes, shape, message in [
+        ("2", "3x16", "--shape must be CxHxW, got '3x16'"),
+        ("2", "3xax4", "--shape must be CxHxW integers, got '3xax4'"),
+        ("1", "3x4x4", "gen_synthetic needs at least 2 classes"),
+    ]:
+        code = main(["gen-data", "--classes", classes, "--per-class", "4", "--shape", shape,
                      "--seed", "0", "--out", str(tmp_path / "x")])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("shape", ["0x4x4", "1x-2x4"])

@@ -1,8 +1,12 @@
+import typing
+
 import numpy as np
 import pytest
 
 from parconv.errors import PartitionError, ValidationError
 from parconv.netdef import (
+    _KINDS,
+    LayerSpec,
     NetworkSpec,
     ReLU,
     SoftmaxXent,
@@ -89,6 +93,11 @@ def test_unknown_keyword_and_arity_errors():
         with pytest.raises(ValidationError) as err:
             parse_network(text)
         assert message in str(err.value)
+    with pytest.raises(ValidationError, match="^layer 0: unknown layer type 'bogus'$"):
+        NetworkSpec("x", (1, 4, 4), ("bogus", SoftmaxXent(16)))
+    # one keyword per layer kind, so no kind is parsed, named or run in only part of the code
+    kinds = [kind for kind, _, _ in _KINDS.values()]
+    assert sorted(kinds, key=str) == sorted(typing.get_args(LayerSpec), key=str)
 
 
 def test_shape_mismatch_names_layer_index():

@@ -1,5 +1,6 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -861,13 +862,20 @@ def test_random_nets_and_plans(d, m, case):
     # each column layer's input is (B,) + in_shape, the logits (B,) + the last
     # out_shape; the engine keeps the input, each cross layer's concatenated
     # input and every layer's output, (B,) + out_shape
+    layer, seen = schemes._layer, threading.local()
+
+    def recording_layer(cl, params, a, first):
+        seen.shapes.append(a.shape)
+        return layer(cl, params, a, first)
+
     def forward(ctx):
         replica, column = divmod(ctx.wid, m)
         exchange = FabricExchange(ctx, replica, column, m) if m > 1 else None
         x = batches[0][0][replica * shard : (replica + 1) * shard]
         params = split_params(init_dense_params(net, 0), cs, column)
-        logits, caches, kept = column_forward(cs, params, x, exchange)
-        return [a.shape for a, _ in caches] + [logits.shape], kept
+        seen.shapes = []
+        logits, _, kept = column_forward(cs, params, x, exchange)
+        return seen.shapes + [logits.shape], kept
 
     shapes = [(shard,) + cl.in_shape for cl in cs.col_layers]
     shapes.append((shard,) + cs.col_layers[-1].out_shape)
@@ -875,7 +883,8 @@ def test_random_nets_and_plans(d, m, case):
     for cl in cs.col_layers:
         kept += [(shard,) + cl.in_shape] * cl.cross + [(shard,) + cl.out_shape]
     want = (shapes, [math.prod(shape) for shape in kept])
-    assert spawn(plan.workers, scheduling=sched).run(forward) == [want] * plan.workers
+    with mock.patch.object(schemes, "_layer", recording_layer):
+        assert spawn(plan.workers, scheduling=sched).run(forward) == [want] * plan.workers
 
     fab = spawn(plan.workers, scheduling=sched)
     setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
