@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from scipy.optimize import minimize
-
 from .errors import CalibrationError, InfeasiblePlanError, ValidationError
 from .netdef import (
     DEFAULT_MEMORY,
@@ -292,7 +290,10 @@ def calibrate(
     starts = [point for _, _, point in scored[:_REFINE_STARTS]]
 
     # local refinement over log10 parameters, deterministic from each start's
-    # fixed initial simplex; keep the best refined point
+    # fixed initial simplex; keep the best refined point. Imported here, as
+    # scipy.optimize loads a second OpenBLAS that no training process needs.
+    from scipy.optimize import minimize
+
     def log_objective(logx):
         return objective(*(10.0**v for v in logx))
 

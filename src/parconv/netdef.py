@@ -15,9 +15,11 @@ Cross placement rules:
     replicated in every column, fed by a final cross, so the class count
     never needs to divide m.
 
-With the shipped configurations every split layer consumes either the
-network input or a full cross concatenation, which makes the columnized
-network an exact re-parameterization of the dense base network.
+A split layer that consumes only its own column's slice is *grouped*. Without
+grouped layers, as in every shipped plan, the columnized network is an exact
+re-parameterization of the dense base network. With them it equals a dense
+network whose grouped weights are block-diagonal, but dense training would
+fill the off-block zeros, so the two trajectories part.
 
 `columnize` is the one walk that derives layer geometry (per-sample input,
 output and weight shapes) and the one that validates a network: building a
@@ -186,6 +188,7 @@ class ColumnLayer:
     layer: LayerSpec
     cross: bool  # this layer consumes the cross-exchanged full concatenation
     shared: bool  # parameters and compute replicated in every column
+    grouped: bool  # split weight layer reading only this column's slice
     in_shape: tuple[int, ...]  # per-sample shape consumed (after any concat)
     out_shape: tuple[int, ...]  # per-sample shape produced by this column
     weight_shape: tuple[int, ...] | None = None
@@ -331,8 +334,9 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
             if isinstance(err, PartitionError):
                 name = type(layer).__name__.lower()
             raise type(err)(f"layer {i} ({name}): {err}") from None
+        grouped = m > 1 and weight_shape is not None and not (full or cross)
         cols.append(
-            ColumnLayer(i, layer, cross, shared, shape, out_shape, weight_shape,
+            ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape,
                         out_shape[:1] if weight_shape else None)
         )
         if isinstance(layer, (Conv, FC)):

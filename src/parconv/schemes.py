@@ -153,73 +153,49 @@ def init_dense_params(net: NetworkSpec, seed: int) -> ParamSet:
     return params
 
 
-def _owned(cl: ColumnLayer, column: int, dense_in: int) -> tuple[tuple[slice, ...], slice]:
-    """(weight index, bias index) of the part of a dense layer that `column` owns.
-
-    A shared head layer is owned whole; a split conv owns a block of output
-    channels (and, when grouped, of input channels too), a split FC a block
-    of units. `dense_in` is the dense weight's second extent.
-    """
-    if cl.shared:
-        return (slice(None),), slice(None)
-    if isinstance(cl.layer, Conv):
-        oc, ic = cl.weight_shape[0], cl.weight_shape[1]
-        out = slice(column * oc, (column + 1) * oc)
-        inp = slice(column * ic, (column + 1) * ic) if ic != dense_in else slice(None)
-        return (out, inp), out
-    u = cl.weight_shape[1]
-    units = slice(column * u, (column + 1) * u)
-    return (slice(None), units), units
-
-
 def split_params(dense: ParamSet, cs: ColumnizedSpec, column: int) -> ParamSet:
-    """Column `column`'s slice of a dense parameter set, as views into `dense`."""
+    """Column `column`'s part of a dense parameter set, as views into `dense`:
+    the one map between the two layouts. A shared head layer is owned whole;
+    a split layer owns the block of output channels or units given by its
+    bias length, and a grouped conv also the block of input channels it reads.
+    """
     out: ParamSet = {}
     for cl in cs.param_layers():
         w, b = dense[cl.index]["w"], dense[cl.index]["b"]
-        wi, bi = _owned(cl, column, w.shape[1])
-        out[cl.index] = {"w": w[wi], "b": b[bi]}
+        if not cl.shared:
+            n, c = cl.bias_shape[0], cl.weight_shape[1]
+            own = slice(column * n, (column + 1) * n)
+            reads = slice(column * c, (column + 1) * c) if cl.grouped else slice(None)
+            w = w[own, reads] if isinstance(cl.layer, Conv) else w[:, own]
+            b = b[own]
+        out[cl.index] = {"w": w, "b": b}
     return out
 
 
-def check_dense_layout(cs: ColumnizedSpec) -> None:
-    """Raise unless the column parameters merge back into the dense layout:
-    no split layer may consume a column slice, as a grouped layer has no
-    dense counterpart."""
-    dense_in = {cl.index: cl.in_shape for cl in columnize(cs.base, 1).param_layers()}
-    for cl in cs.param_layers():
-        if not (cl.shared or cl.cross) and cl.in_shape != dense_in[cl.index]:
-            raise ValidationError(
-                f"layer {cl.index} consumes a column slice (grouped); no dense equivalent exists"
-            )
-
-
 def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
-    """Reassemble column slices into the dense layout (inverse of split_params).
+    """Reassemble column parameters into the dense layout (inverse of
+    split_params), as fresh arrays written through split_params' views.
 
-    Only defined when `check_dense_layout` passes; a grouped layer raises.
+    Every layout merges: a grouped layer's dense weight is block-diagonal,
+    zero outside each column's block, and computes what the columns compute.
+    Raises unless there is one set per column and every column holds the
+    same copy of the replicated head.
     """
     m = cs.columns
     if len(per_column) != m:
         raise ValidationError(f"merge_params needs {m} column sets, got {len(per_column)}")
-    check_dense_layout(cs)
-    dense_layers = {cl.index: cl for cl in columnize(cs.base, 1).param_layers()}
-    out: ParamSet = {}
-    for cl in cs.param_layers():
-        idx = cl.index
-        if cl.shared:
-            for other in per_column[1:]:
-                if not np.array_equal(other[idx]["w"], per_column[0][idx]["w"]):
+    out: ParamSet = {
+        cl.index: {"w": np.zeros(cl.weight_shape), "b": np.zeros(cl.bias_shape)}
+        for cl in columnize(cs.base, 1).param_layers()
+    }
+    for column, params in enumerate(per_column):
+        for idx, view in split_params(out, cs, column).items():
+            for k in ("w", "b"):  # a head layer (shared) already holds column 0's copy
+                if column and idx >= cs.head_index and not np.array_equal(view[k], params[idx][k]):
                     raise ValidationError(
                         f"layer {idx}: replicated head copies diverged across columns"
                     )
-        w = np.zeros(dense_layers[idx].weight_shape, dtype=np.float64)
-        b = np.zeros(dense_layers[idx].bias_shape, dtype=np.float64)
-        for j in range(1 if cl.shared else m):
-            wi, bi = _owned(cl, j, w.shape[1])
-            w[wi] = per_column[j][idx]["w"]
-            b[bi] = per_column[j][idx]["b"]
-        out[idx] = {"w": w, "b": b}
+                view[k][...] = params[idx][k]
     return out
 
 

@@ -30,7 +30,6 @@ from .netdef import DEFAULT_MEMORY, NetworkSpec, worker_footprint_bytes
 from .schemes import (
     ParallelPlan,
     ParamSet,
-    check_dense_layout,
     evaluation_errors,
     gather_dense_params,
     hybrid_step,
@@ -103,7 +102,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     records: list[MetricsRecord]
-    final_params: ParamSet | None  # dense layout when the plan merges back, else None
+    final_params: ParamSet  # replica 0's parameters in the dense layout
     fabric: Fabric
     step_seconds: float  # cost-model seconds per update (0.0 without cost params)
 
@@ -157,10 +156,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             err = _fabric_error_rate(fabric, plan, cs, cfg.test_data, eval_batch=shard)
             records[-1] = replace(records[-1], test_error=err)
 
-    try:
-        final = gather_dense_params(fabric, plan, cs)
-    except ValidationError:
-        final = None  # grouped columnization: parameters have no dense layout
+    final = gather_dense_params(fabric, plan, cs)
     return TrainResult(records=records, final_params=final, fabric=fabric, step_seconds=step_seconds)
 
 
@@ -229,12 +225,12 @@ def run_equivalence(
     losses and final parameters against the single-worker reference."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    for plan in plans:  # before any training
+    for plan in plans:  # before any training; a grouped plan cannot follow the dense trajectory
         plan.shard(batch)
-        try:
-            check_dense_layout(plan_columnized(net, plan))
-        except ValidationError as err:
-            raise ValidationError(f"plan {plan.describe()}: {err}") from None
+        grouped = [cl.index for cl in plan_columnized(net, plan).col_layers if cl.grouped]
+        if grouped:
+            raise ValidationError(f"plan {plan.describe()}: layer {grouped[0]} consumes a column "
+                                  "slice (grouped); no dense equivalent exists")
     data = equivalence_data(net, batch, seed)
     batches = [chosen for _, chosen in itertools.islice(_batches(seed, data.size, batch), steps)]
 

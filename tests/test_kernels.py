@@ -1,6 +1,8 @@
 import ctypes
 import math
 import platform
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -529,6 +531,30 @@ def test_blas_core_recorded():
         pytest.skip("numpy's BLAS exports no scipy_openblas_get_corename64_")
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     assert kernels.BLAS_CORE == corename().decode() and kernels.BLAS_CORE
+
+
+def test_training_loads_no_scipy():
+    """Only `calibrate` needs scipy, whose optimiser loads a second OpenBLAS:
+    a process that imports parconv and takes a step never loads it."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from parconv import *\n"
+        "net = load_network(sys.argv[1])\n"
+        "plan = ParallelPlan(1, 2, (3,))\n"
+        "cs = columnize(net, 2, (3,))\n"
+        "fab = spawn(plan.workers)\n"
+        "setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())\n"
+        "step = hybrid_step(fab, plan, cs, np.zeros((8,) + net.input_shape), np.arange(8))\n"
+        "print(np.isfinite(step.loss), 'scipy' in sys.modules)\n"
+    )
+    repo = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(repo / "configs" / "tinynet.net")],
+        cwd=repo / "src", capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True False\n"
 
 
 class _Mallinfo2(ctypes.Structure):

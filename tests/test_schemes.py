@@ -115,12 +115,41 @@ def test_split_shares_head_copy():
     assert merge_params(cols, cs)[7]["w"] is not cols[0][7]["w"]
 
 
-def test_merge_rejects_grouped_layers():
-    cs = columnize(TINY, 2, ())  # second conv consumes a slice: grouped
-    dense = init_dense_params(TINY, 1)
-    cols = [split_params(dense, cs, j) for j in range(2)]
-    with pytest.raises(ValidationError, match="grouped"):
-        merge_params(cols, cs)
+def assert_gathers_block_diagonal(plan, cs, fab, x):
+    """A grouped plan gathers: each grouped weight is zero off its columns'
+    blocks, split_params gives back replica 0's columns bit for bit, and the
+    dense network computes the plan's logits on `x`."""
+    m = plan.model_columns
+    columns = fab.run(lambda ctx: ctx.local["layers"])[:m]
+    merged = gather_dense_params(fab, plan, cs)
+    for cl in cs.param_layers():
+        if cl.grouped:
+            n, c = cl.weight_shape[:2]
+            blocks = np.kron(np.eye(m), np.ones((n, c))) > 0
+            assert not merged[cl.index]["w"][~blocks].any()
+    for j, column in enumerate(columns):
+        back = split_params(merged, cs, j)
+        assert all(np.array_equal(back[i][k], column[i][k]) for i in column for k in ("w", "b"))
+
+    def forward(ctx):
+        exchange = FabricExchange(ctx, 0, ctx.wid, m)
+        return column_forward(cs, columns[ctx.wid], x, exchange)[0]
+
+    want = spawn(m).run(forward)[0]
+    got = column_forward(columnize(cs.base, 1), merged, x, None)[0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_grouped_merge_is_block_diagonal(m):
+    """Without the conv cross, tinynet's layer 3 reads its column's slice
+    (grouped); after three steps its columns still merge."""
+    plan = ParallelPlan(1, m)
+    cs = plan_columnized(TINY, plan)
+    assert [cl.index for cl in cs.col_layers if cl.grouped] == [3]
+    batches = [make_batch(TINY, 8, seed=s) for s in range(3)]
+    _, _, fab = run_plan(TINY, plan, batches)
+    assert_gathers_block_diagonal(plan, cs, fab, batches[0][0])
 
 
 def test_merge_rejects_wrong_column_count_and_diverged_heads():
@@ -129,9 +158,11 @@ def test_merge_rejects_wrong_column_count_and_diverged_heads():
     cols = [split_params(dense, cs, j) for j in range(2)]
     with pytest.raises(ValidationError, match="merge_params needs 2 column sets, got 1"):
         merge_params(cols[:1], cs)
-    cols[1][7] = {"w": cols[1][7]["w"] + 1.0, "b": cols[1][7]["b"]}
-    with pytest.raises(ValidationError, match="layer 7: replicated head copies diverged"):
-        merge_params(cols, cs)
+    w, b = cols[1][7]["w"], cols[1][7]["b"]
+    for diverged in ({"w": w + 1.0, "b": b}, {"w": w, "b": b + 1.0}):
+        cols[1][7] = diverged
+        with pytest.raises(ValidationError, match="layer 7: replicated head copies diverged"):
+            merge_params(cols, cs)
 
 
 def test_pack_unpack_roundtrip():
@@ -898,11 +929,18 @@ def test_random_nets_and_plans(d, m, case):
         ref = reference_step(net, params, (x, y), sgd, velocity)
         params, velocity = ref.params, ref.velocity
         losses.append((got, ref.loss))
-    try:
-        merged = gather_dense_params(fab, plan, cs)
-    except ValidationError as err:  # a grouped layer has no dense equivalent
-        assert "grouped" in str(err)
+    # grouped: a split weight layer that reads less than its dense counterpart
+    dense_in = [cl.in_shape for cl in columnize(net, 1).col_layers]
+    for cl in cs.col_layers:
+        assert cl.grouped == (
+            cl.weight_shape is not None
+            and not (cl.shared or cl.cross)
+            and cl.in_shape != dense_in[cl.index]
+        )
+    if any(cl.grouped for cl in cs.col_layers):  # its trajectory leaves the dense one
+        assert_gathers_block_diagonal(plan, cs, fab, batches[0][0])
         return
+    merged = gather_dense_params(fab, plan, cs)
     for got, want_loss in losses:
         assert abs(got - want_loss) <= 1e-9 * abs(want_loss)
     assert max_rel(merged, params) < 1e-9

@@ -3,8 +3,11 @@
 silently zero its metrics, so the names are checked here, in tier-1."""
 
 import importlib.util
+import itertools
 import math
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from parconv import fabric, gen_synthetic, load_plan, rng, schemes, spawn
 from parconv.kernels import SgdState
 from parconv.netdef import load_network, worker_footprint_bytes
+from parconv.trainer import _batches
 
 from oracles import CONFIGS
 
@@ -93,3 +97,21 @@ def test_benchmark_entry_points_keep_their_call_shapes(sched):
     gathered = schemes.gather_dense_params(fab, plan, cs)
     assert all(gathered[i]["w"].shape == dense[i]["w"].shape for i in dense)
     assert max(fab.meter.peak) == worker_footprint_bytes(cs, shard, holds_velocity=True)
+
+
+def test_benchmark_batches_follow_the_trainer_schedule(monkeypatch):
+    """stepbench/run.py keeps its own copy of the batch rule (`Bench.batches`);
+    it must cut the same index arrays as the trainer's schedule."""
+    path = TRACER_PATH.parent / "run.py"
+    monkeypatch.syspath_prepend(str(path.parent))  # for its `import tracer`
+    spec = importlib.util.spec_from_file_location("stepbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclass looks it up
+    spec.loader.exec_module(module)
+    for seed, n, batch in [(1, 200, 32), (3, 97, 8), (0, 64, 64)]:
+        bench = SimpleNamespace(train=SimpleNamespace(size=n), wl=SimpleNamespace(batch=batch),
+                                seed=seed)
+        count = 3 * (n // batch)  # three epochs
+        got = list(itertools.islice(module.Bench.batches(bench), count))
+        want = [chosen for _, chosen in itertools.islice(_batches(seed, n, batch), count)]
+        assert len(got) == count and all(np.array_equal(g, w) for g, w in zip(got, want))

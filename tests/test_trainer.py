@@ -166,13 +166,17 @@ def test_runtime_meter_peak_matches_static_footprint(blobs10):
         ]
 
 
-def test_grouped_plan_trains_without_dense_params(blobs10):
-    """With no cross layer, tinynet's second conv reads its column's slice:
-    training runs, but the parameters have no dense layout to return."""
+def test_grouped_plan_trains_and_gathers(blobs10):
+    """With no cross layer, tinynet's second conv reads its column's slice
+    (grouped): training runs and returns the gathered dense parameters, whose
+    grouped weight is block-diagonal."""
     train_data, test_data = blobs10
     plan = ParallelPlan(1, 2)
     result = train(config(train_data, test_data, plan=plan))
-    assert result.final_params is None
+    w = result.final_params[3]["w"]
+    assert w.shape == (8, 8, 3, 3)
+    assert not w[:4, 4:].any() and not w[4:, :4].any()
+    assert w[:4, :4].all() and w[4:, 4:].all()
     losses = [r.train_loss for r in result.records]
     assert len(losses) == 10 and all(np.isfinite(losses))
     assert np.isfinite(result.records[-1].test_error)
