@@ -82,6 +82,8 @@ def load_cost_params(path) -> CostParams:
         if len(parts) != 2 or parts[0] not in _COST_KEYS:
             raise ValidationError(f"cost params line {lineno}: expected '<key> <value>', got {line!r}")
         key, text = parts
+        if key in values:
+            raise ValidationError(f"cost params line {lineno}: duplicate key {key!r}")
         try:
             values[key] = int(float(text)) if key == "memory" else float(text)
         except (ValueError, OverflowError):

@@ -241,20 +241,21 @@ def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]
     return slice(first, stop), slice(start, start + (stop - first - 1) * step + 1, step)
 
 
-def _unfolded(
-    a: np.ndarray, k: int, stride: int, offset: int, step: int, frame: tuple[int, int], last: bool
-):
+def _unfolded(a: np.ndarray, k: int, stride: int, offset: int, step: int, last: bool):
     """im2col of a (B, C, h, w) array, one sample at a time.
 
     Each sample is placed into a zeroed frame, entry (y, x) at
-    (offset + y*step, offset + x*step), dropping what falls outside; the
-    frame's k x k windows at `stride` are copied out as (C*k*k, H'*W')
-    columns, or with `last` from an (H, W, C) frame as (H'*W', k*k*C) rows.
+    (offset + y*step, offset + x*step), with `offset` zeros on every side (a
+    negative offset crops): the padded input, H + 2*pad high, of a forward or
+    the spread grad_out, H + k-1 high, of a transposed conv. The frame's
+    k x k windows at `stride` are copied out as (C*k*k, H'*W') columns, or
+    with `last` from an (H, W, C) frame as (H'*W', k*k*C) rows.
     Yields (s, columns) for sample s; one frame and one column buffer serve
     every sample, so each sample's columns are overwritten by the next.
     Every sample writes the same frame entries, so the rest stay zero.
     """
     batch, c, h, w = a.shape
+    frame = ((h - 1) * step + 1 + 2 * offset, (w - 1) * step + 1 + 2 * offset)
     if last:  # an (H, W, C) frame, seen as (1, C, H, W); windows (H', W', k, k, C)
         framed = np.zeros((1, *frame, c), dtype=FLOAT).transpose(0, 3, 1, 2)
         windows = _windows(framed, k, stride)[0].transpose(1, 2, 3, 4, 0)
@@ -309,18 +310,17 @@ def conv2d_forward(
     batch, _, h, wd = x.shape
     ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
-    frame = (h + 2 * pad, wd + 2 * pad)
     if k * c > wo:  # channels-last runs are longer: rows @ w, copied transposed into out[s]
         wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * c, n)
         product = np.empty((ho * wo, n), dtype=FLOAT)
         blocks = _row_blocks(ho * wo, k * k * c, n)
-        for s, rows in _unfolded(x, k, stride, pad, 1, frame, True):
+        for s, rows in _unfolded(x, k, stride, pad, 1, True):
             for blk in blocks:
                 np.matmul(rows[blk], wmat, out=product[blk])
             out[s] = product.T
     else:
         wmat = w.reshape(n, c * k * k)
-        for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
+        for s, cols in _unfolded(x, k, stride, pad, 1, False):
             np.matmul(wmat, cols, out=out[s])
     out += b[None, :, None]
     return out.reshape(batch, n, ho, wo)
@@ -353,8 +353,7 @@ def conv2d_backward(
     grad_bias = go.sum(axis=(0, 2))
     if not input_grad:  # channels-first columns of x: sum of go[s] @ columns^T
         grad_w = np.zeros((n, c * k * k), dtype=FLOAT)
-        frame = (h + 2 * pad, wd + 2 * pad)
-        for s, cols in _unfolded(x, k, stride, pad, 1, frame, False):
+        for s, cols in _unfolded(x, k, stride, pad, 1, False):
             grad_w += go[s] @ cols.T
         return None, grad_w.reshape(w.shape), grad_bias
     # the transposed conv: a stride-1 correlation of grad_out, spread by the stride
@@ -365,9 +364,8 @@ def conv2d_backward(
     grad_x = np.empty((batch, c, h * wd), dtype=FLOAT)
     grad_wt = np.zeros((c, k * k * n), dtype=FLOAT)
     product = np.empty((h * wd, c), dtype=FLOAT)
-    frame = (h + k - 1, wd + k - 1)
     blocks = _row_blocks(h * wd, k * k * n, c)
-    for s, rows in _unfolded(grad_out, k, 1, k - 1 - pad, stride, frame, True):
+    for s, rows in _unfolded(grad_out, k, 1, k - 1 - pad, stride, True):
         for blk in blocks:
             np.matmul(rows[blk], wt, out=product[blk])
         grad_x[s] = product.T  # the product copied transposed

@@ -192,11 +192,15 @@ class ColumnLayer:
     in_shape: tuple[int, ...]  # per-sample shape consumed (after any concat)
     out_shape: tuple[int, ...]  # per-sample shape produced by this column
     weight_shape: tuple[int, ...] | None = None
-    bias_shape: tuple[int, ...] | None = None
 
     @property
     def name(self) -> str:
         return _layer_name(self.layer)
+
+    @property
+    def bias_shape(self) -> tuple[int, ...] | None:
+        """One bias per output channel or unit of a weight layer."""
+        return self.out_shape[:1] if self.weight_shape else None
 
     @property
     def param_count(self) -> int:
@@ -212,15 +216,13 @@ class ColumnLayer:
 class ColumnizedSpec:
     """A network split into `columns` identical columns.
 
-    cross_layers is the effective set (caller-designated Conv crosses plus the
-    implicit FC / head crosses). All columns share one geometry, so a single
-    ColumnLayer list describes each of them.
+    All columns share one geometry, so a single ColumnLayer list describes
+    each of them; its per-layer flags are the partitioning (which layers
+    cross, which are the shared head, which are grouped).
     """
 
     base: NetworkSpec
     columns: int
-    cross_layers: frozenset[int]
-    head_index: int
     col_layers: tuple[ColumnLayer, ...]
 
     @property
@@ -335,25 +337,16 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
                 name = type(layer).__name__.lower()
             raise type(err)(f"layer {i} ({name}): {err}") from None
         grouped = m > 1 and weight_shape is not None and not (full or cross)
-        cols.append(
-            ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape,
-                        out_shape[:1] if weight_shape else None)
-        )
+        cols.append(ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape))
         if isinstance(layer, (Conv, FC)):
             full = shared
         shape = out_shape
 
-    return ColumnizedSpec(
-        base=net,
-        columns=m,
-        cross_layers=frozenset(cl.index for cl in cols if cl.cross),
-        head_index=head,
-        col_layers=tuple(cols),
-    )
+    return ColumnizedSpec(base=net, columns=m, col_layers=tuple(cols))
 
 
 # ---------------------------------------------------------------------------
-# Accounting: parameters, FLOPs, activation bytes
+# Accounting: parameters, FLOPs, footprint
 # ---------------------------------------------------------------------------
 
 
@@ -365,12 +358,12 @@ class LayerReport:
     params: int
     flops_forward: int
     flops_backward: int
-    activation_bytes: int
 
 
 @dataclass(frozen=True)
 class ShapeReport:
-    """Per-layer accounting at a given batch size (per column when columnized)."""
+    """Per-layer accounting at a given batch size (per column when columnized).
+    Activation memory is counted once, by column_footprint_elements."""
 
     rows: tuple[LayerReport, ...]
     batch: int
@@ -382,10 +375,6 @@ class ShapeReport:
     @property
     def total_flops(self) -> int:
         return sum(r.flops_forward + r.flops_backward for r in self.rows)
-
-    @property
-    def total_activation_bytes(self) -> int:
-        return sum(r.activation_bytes for r in self.rows)
 
 
 def _layer_macs(cl: ColumnLayer, batch: int) -> int:
@@ -406,17 +395,7 @@ def shape_report(net_or_cs: NetworkSpec | ColumnizedSpec, batch: int) -> ShapeRe
     rows = []
     for cl in cs.col_layers:
         fwd = 2 * _layer_macs(cl, batch)
-        rows.append(
-            LayerReport(
-                index=cl.index,
-                name=cl.name,
-                out_shape=cl.out_shape,
-                params=cl.param_count,
-                flops_forward=fwd,
-                flops_backward=2 * fwd,
-                activation_bytes=batch * math.prod(cl.out_shape) * WIRE_ELEMENT_SIZE,
-            )
-        )
+        rows.append(LayerReport(cl.index, cl.name, cl.out_shape, cl.param_count, fwd, 2 * fwd))
     return ShapeReport(rows=tuple(rows), batch=batch)
 
 

@@ -107,18 +107,21 @@ def parse_layer_list(text: str) -> tuple[int, ...]:
 
 
 def parse_plan(text: str) -> ParallelPlan:
-    """Plan file format: `data_shards <d>`, `model_columns <m>`, `cross_layers <i,j,...>`."""
-    fields = {"data_shards": 1, "model_columns": 1, "cross_layers": ()}
+    """Plan file format: `data_shards <d>`, `model_columns <m>`, `cross_layers <i,j,...>`,
+    each key at most once (ParallelPlan's defaults stand for a missing one)."""
+    given: dict = {}
     for lineno, line in config_lines(text):
         key, *value = line.split(None, 1)
         key, value = key.lower(), "".join(value)
-        if key not in fields:
+        if key not in ("data_shards", "model_columns", "cross_layers"):
             raise ValidationError(f"line {lineno}: unknown plan key {key!r}")
+        if key in given:
+            raise ValidationError(f"line {lineno}: duplicate plan key {key!r}")
         try:
-            fields[key] = parse_layer_list(value) if key == "cross_layers" else int(value)
+            given[key] = parse_layer_list(value) if key == "cross_layers" else int(value)
         except (ValueError, ValidationError):
             raise ValidationError(f"line {lineno}: bad integer in {line!r}") from None
-    return ParallelPlan(**fields)
+    return ParallelPlan(**given)
 
 
 def load_plan(path) -> ParallelPlan:
@@ -172,14 +175,21 @@ def split_params(dense: ParamSet, cs: ColumnizedSpec, column: int) -> ParamSet:
     return out
 
 
+def _check_shapes(got: dict[str, np.ndarray], want: dict[str, tuple], where: str) -> None:
+    """Raise naming `where` unless `got` holds exactly `want`'s tensors, each of its shape."""
+    shapes = {k: np.shape(v) for k, v in got.items()}
+    if shapes != want:
+        raise ValidationError(f"{where} parameters of shapes {shapes}, expected {want}")
+
+
 def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
     """Reassemble column parameters into the dense layout (inverse of
     split_params), as fresh arrays written through split_params' views.
 
     Every layout merges: a grouped layer's dense weight is block-diagonal,
     zero outside each column's block, and computes what the columns compute.
-    Raises unless there is one set per column and every column holds the
-    same copy of the replicated head.
+    Raises unless there is one set per column, each tensor has its view's
+    shape, and every column holds the same copy of the replicated head.
     """
     m = cs.columns
     if len(per_column) != m:
@@ -189,13 +199,18 @@ def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
         for cl in columnize(cs.base, 1).param_layers()
     }
     for column, params in enumerate(per_column):
-        for idx, view in split_params(out, cs, column).items():
-            for k in ("w", "b"):  # a head layer (shared) already holds column 0's copy
-                if column and idx >= cs.head_index and not np.array_equal(view[k], params[idx][k]):
+        views = split_params(out, cs, column)
+        for cl in cs.param_layers():
+            got = params.get(cl.index, {})
+            want = {k: view.shape for k, view in views[cl.index].items()}
+            _check_shapes(got, want, f"layer {cl.index}: column {column}'s")
+            for k, view in views[cl.index].items():
+                # a shared head layer already holds column 0's copy
+                if column and cl.shared and not np.array_equal(view, got[k]):
                     raise ValidationError(
-                        f"layer {idx}: replicated head copies diverged across columns"
+                        f"layer {cl.index}: replicated head copies diverged across columns"
                     )
-                view[k][...] = params[idx][k]
+                view[...] = got[k]
     return out
 
 
@@ -283,19 +298,19 @@ class FabricExchange:
         return acc
 
 
-def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray, first: bool):
+def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray):
     """One column layer's forward and backward, side by side, as a generator.
 
     next() yields the layer's output on input `a`; sending it the output's
-    gradient yields (input gradient, {"w", "b"} gradients or None). `first`
-    marks the column's first layer, whose input gradient (w.r.t. the image)
-    is never used. The kernels are looked up in this module at each call.
+    gradient yields (input gradient, {"w", "b"} gradients or None). Base
+    layer 0, every column's first, skips its input gradient (w.r.t. the
+    image, never used). The kernels are looked up in this module at each call.
     """
     layer, grad = cl.layer, None
     if isinstance(layer, Conv):
         w, b = params[cl.index]["w"], params[cl.index]["b"]
         g = yield conv2d_forward(a, w, b, layer.stride, layer.pad)
-        g_in, gw, gb = conv2d_backward(a, w, g, layer.stride, layer.pad, input_grad=not first)
+        g_in, gw, gb = conv2d_backward(a, w, g, layer.stride, layer.pad, input_grad=cl.index > 0)
         grad = {"w": gw, "b": gb}
     elif isinstance(layer, FC):
         w, b = params[cl.index]["w"], params[cl.index]["b"]
@@ -337,7 +352,7 @@ def column_forward(
         if cl.cross:
             a = exchange.cross_forward(cl.index, a)
             kept.append(a.size)
-        layer = _layer(cl, params, a, not layers)
+        layer = _layer(cl, params, a)
         a = next(layer)
         kept.append(a.size)  # at the loss layer: its logits-sized workspace
         layers.append(layer)
@@ -439,19 +454,24 @@ def setup_workers(
     plus per-layer views of it for the engine; the column root (replica 0)
     also keeps a velocity vector of the same layout, which it updates with
     `sgd`. Each also records the layout (plan, cs), which every later call
-    must pass again. Raises unless the fabric has the plan's workers and `cs`
-    is `plan_columnized(net, plan)`: its column count and cross layers.
+    must pass again. Raises, before any worker starts, unless the fabric has
+    the plan's workers, `cs` is `plan_columnized(net, plan)` (its column count
+    and cross layers) and `dense_params` has the network's tensors and shapes.
     """
     if fabric.n != plan.workers:
         raise ValidationError(
             f"plan grid {plan.describe()} needs {plan.workers} workers, fabric has {fabric.n}"
         )
     if cs != plan_columnized(cs.base, plan):
+        crosses = [cl.index for cl in cs.col_layers if cl.cross]
         raise ValidationError(
-            f"columnized spec ({cs.columns} columns, cross layers {sorted(cs.cross_layers)}) "
+            f"columnized spec ({cs.columns} columns, cross layers {crosses}) "
             f"is not plan_columnized(net, plan) for plan {plan.describe()} "
             f"with cross layers {list(plan.cross_layers)}"
         )
+    for cl in columnize(cs.base, 1).param_layers():
+        _check_shapes(dense_params.get(cl.index, {}), {"w": cl.weight_shape, "b": cl.bias_shape},
+                      f"layer {cl.index} ({cl.name}): dense")
     m = plan.model_columns
     # built on the host: large buffers allocated in the short-lived worker
     # threads page-fault afresh on every set-up

@@ -293,6 +293,28 @@ def test_estimate_bad_inputs_exit_1_without_rows(cost_file, capsys, plan, run, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "which, extra, message",
+    [
+        ("plan", "data_shards 4\n", "line 3: duplicate plan key 'data_shards'"),
+        ("cost", "throughput 2e12\n", "duplicate key 'throughput'"),
+    ],
+)
+def test_estimate_duplicate_key_exit_1(tmp_path, cost_file, capsys, which, extra, message):
+    plan = tmp_path / "twice.plan"
+    plan.write_text((CONFIGS / "plan_d2m1.plan").read_text())
+    twice = plan if which == "plan" else cost_file
+    twice.write_text(twice.read_text() + extra)
+    code = main([
+        "estimate", "--net", str(CONFIGS / "tinynet.net"), "--plan", str(plan),
+        "--batch", "8", "--cost", str(cost_file), "--epochs", "1", "--dataset-size", "64",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_memory_infeasible_row_exit_0(tmp_path, capsys):
     small = tmp_path / "small.cost"
     save_cost_params(

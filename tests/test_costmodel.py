@@ -255,6 +255,17 @@ def test_cost_params_file_validation(tmp_path):
         load_cost_params(path)
 
 
+def test_cost_params_file_rejects_duplicate_keys(tmp_path):
+    # a second line took the first's place
+    path = tmp_path / "twice.cost"
+    save_cost_params(CostParams(1e12, 1e9, 0.001, 4.0), path)
+    path.write_text(path.read_text() + "throughput 2e12\n")
+    lineno = len(path.read_text().splitlines())
+    with pytest.raises(ValidationError,
+                       match=f"cost params line {lineno}: duplicate key 'throughput'"):
+        load_cost_params(path)
+
+
 def test_cost_params_validation():
     with pytest.raises(ValidationError):
         CostParams(throughput=0, bandwidth=1, latency=0, b_half=1)

