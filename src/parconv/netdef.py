@@ -182,7 +182,8 @@ def load_network(path) -> NetworkSpec:
 
 @dataclass(frozen=True)
 class ColumnLayer:
-    """Geometry of one base layer as seen by a single column."""
+    """Geometry of one base layer as seen by a single column. Every parameter
+    layout holds a layer's tensors in the key order of its param_shapes."""
 
     index: int
     layer: LayerSpec
@@ -203,13 +204,13 @@ class ColumnLayer:
         return self.out_shape[:1] if self.weight_shape else None
 
     @property
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """{"w": weight shape, "b": bias shape} for a weight layer, {} otherwise."""
+        return {"w": self.weight_shape, "b": self.bias_shape} if self.weight_shape else {}
+
+    @property
     def param_count(self) -> int:
-        n = 0
-        if self.weight_shape:
-            n += math.prod(self.weight_shape)
-        if self.bias_shape:
-            n += math.prod(self.bias_shape)
-        return n
+        return sum(math.prod(shape) for shape in self.param_shapes.values())
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ class ColumnizedSpec:
         return sum(cl.param_count for cl in self.col_layers)
 
     def param_layers(self) -> list[ColumnLayer]:
-        return [cl for cl in self.col_layers if cl.weight_shape is not None]
+        return [cl for cl in self.col_layers if cl.param_shapes]
 
 
 def _head_start(net: NetworkSpec) -> int:
@@ -332,10 +333,7 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
         try:
             out_shape, weight_shape = _geometry(layer, shape, 1 if shared else m)
         except ValidationError as err:
-            name = _layer_name(layer)
-            if isinstance(err, PartitionError):
-                name = type(layer).__name__.lower()
-            raise type(err)(f"layer {i} ({name}): {err}") from None
+            raise type(err)(f"layer {i} ({_layer_name(layer)}): {err}") from None
         grouped = m > 1 and weight_shape is not None and not (full or cross)
         cols.append(ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape))
         if isinstance(layer, (Conv, FC)):

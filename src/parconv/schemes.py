@@ -57,7 +57,7 @@ from .netdef import (
     config_lines,
 )
 
-ParamSet = dict[int, dict[str, np.ndarray]]  # layer index -> {"w": ..., "b": ...}
+ParamSet = dict[int, dict[str, np.ndarray]]  # layer index -> tensors keyed as in param_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,10 @@ def split_params(dense: ParamSet, cs: ColumnizedSpec, column: int) -> ParamSet:
     the one map between the two layouts. A shared head layer is owned whole;
     a split layer owns the block of output channels or units given by its
     bias length, and a grouped conv also the block of input channels it reads.
+    Raises unless 0 <= column < cs.columns.
     """
+    if not 0 <= column < cs.columns:
+        raise ValidationError(f"column {column} out of range for {cs.columns} columns")
     out: ParamSet = {}
     for cl in cs.param_layers():
         w, b = dense[cl.index]["w"], dense[cl.index]["b"]
@@ -195,7 +198,7 @@ def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
     if len(per_column) != m:
         raise ValidationError(f"merge_params needs {m} column sets, got {len(per_column)}")
     out: ParamSet = {
-        cl.index: {"w": np.zeros(cl.weight_shape), "b": np.zeros(cl.bias_shape)}
+        cl.index: {k: np.zeros(shape) for k, shape in cl.param_shapes.items()}
         for cl in columnize(cs.base, 1).param_layers()
     }
     for column, params in enumerate(per_column):
@@ -215,11 +218,8 @@ def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
 
 
 def pack_tree(tree: ParamSet, cs: ColumnizedSpec) -> np.ndarray:
-    """Flatten to one vector in canonical order (ascending layer, weights then bias)."""
-    chunks = []
-    for cl in cs.param_layers():
-        chunks.append(tree[cl.index]["w"].ravel())
-        chunks.append(tree[cl.index]["b"].ravel())
+    """Flatten to one vector in canonical order: ascending layer, then param_shapes order."""
+    chunks = [tree[cl.index][k].ravel() for cl in cs.param_layers() for k in cl.param_shapes]
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float64)
 
 
@@ -233,30 +233,20 @@ def unpack_tree(flat: np.ndarray, cs: ColumnizedSpec) -> ParamSet:
     out: ParamSet = {}
     pos = 0
     for cl in cs.param_layers():
-        nw = math.prod(cl.weight_shape)
-        nb = math.prod(cl.bias_shape)
-        w = flat[pos : pos + nw].reshape(cl.weight_shape)
-        pos += nw
-        b = flat[pos : pos + nb].reshape(cl.bias_shape)
-        pos += nb
-        out[cl.index] = {"w": w, "b": b}
+        out[cl.index] = {}
+        for k, shape in cl.param_shapes.items():
+            out[cl.index][k] = flat[pos : pos + math.prod(shape)].reshape(shape)
+            pos += math.prod(shape)
     return out
 
 
 def params_as_lists(params: ParamSet, cs: ColumnizedSpec) -> list[np.ndarray]:
-    out = []
-    for cl in cs.param_layers():
-        out.append(params[cl.index]["w"])
-        out.append(params[cl.index]["b"])
-    return out
+    return [params[cl.index][k] for cl in cs.param_layers() for k in cl.param_shapes]
 
 
 def lists_as_params(values: list[np.ndarray], cs: ColumnizedSpec) -> ParamSet:
-    out: ParamSet = {}
     it = iter(values)
-    for cl in cs.param_layers():
-        out[cl.index] = {"w": next(it), "b": next(it)}
-    return out
+    return {cl.index: {k: next(it) for k in cl.param_shapes} for cl in cs.param_layers()}
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +297,13 @@ def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray):
     image, never used). The kernels are looked up in this module at each call.
     """
     layer, grad = cl.layer, None
-    if isinstance(layer, Conv):
+    if cl.weight_shape:
         w, b = params[cl.index]["w"], params[cl.index]["b"]
+    if isinstance(layer, Conv):
         g = yield conv2d_forward(a, w, b, layer.stride, layer.pad)
         g_in, gw, gb = conv2d_backward(a, w, g, layer.stride, layer.pad, input_grad=cl.index > 0)
         grad = {"w": gw, "b": gb}
     elif isinstance(layer, FC):
-        w, b = params[cl.index]["w"], params[cl.index]["b"]
         g = yield fc_forward(a.reshape(a.shape[0], -1), w, b)
         g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), w, g)
         g_in, grad = g_in.reshape(a.shape), {"w": gw, "b": gb}
@@ -421,15 +411,15 @@ def reference_step(
 ) -> StepResult:
     """Full-batch forward/backward/update on one worker; the oracle for all schemes.
 
+    The batch is checked as hybrid_step checks it (see _check_batch).
     `velocity` holds one tensor per parameter tensor in params_as_lists order
     (None: all zeros, the first step). The updated parameters and velocity
     are returned as fresh arrays; the arguments are left unchanged.
     """
     cs = columnize(net, 1)
     x, labels = batch
-    if x.shape[0] < 1:
-        raise ValidationError("reference_step needs a non-empty batch")
-    loss, grads = column_fwd_bwd(cs, params, x, np.asarray(labels), 1.0 / x.shape[0], None)
+    labels = _check_batch(cs, x, labels)
+    loss, grads = column_fwd_bwd(cs, params, x, labels, 1.0 / x.shape[0], None)
     plist = [p.copy() for p in params_as_lists(params, cs)]
     vlist = [np.zeros_like(p) for p in plist] if velocity is None else [v.copy() for v in velocity]
     if len(vlist) != len(plist):
@@ -470,7 +460,7 @@ def setup_workers(
             f"with cross layers {list(plan.cross_layers)}"
         )
     for cl in columnize(cs.base, 1).param_layers():
-        _check_shapes(dense_params.get(cl.index, {}), {"w": cl.weight_shape, "b": cl.bias_shape},
+        _check_shapes(dense_params.get(cl.index, {}), cl.param_shapes,
                       f"layer {cl.index} ({cl.name}): dense")
     m = plan.model_columns
     # built on the host: large buffers allocated in the short-lived worker
@@ -514,11 +504,14 @@ def _state(ctx: Worker, plan: ParallelPlan, cs: ColumnizedSpec) -> dict:
 
 
 def _check_batch(cs: ColumnizedSpec, x: np.ndarray, labels) -> np.ndarray:
-    """The batch's labels as an array, once the batch fits the network: samples
-    of its input shape, one integer label per sample, each in [0, classes).
-    Raises a ValidationError naming the problem otherwise."""
+    """The batch's labels as an array, once the batch fits the network: one or
+    more samples of its input shape, one integer label per sample, each in
+    [0, classes). Raises a ValidationError naming the problem otherwise; the
+    batch rule of every entry point."""
     net = cs.base
     labels = np.asarray(labels)
+    if x.shape[0] < 1:
+        raise ValidationError("empty batch: a batch needs at least one sample")
     if x.shape[1:] != net.input_shape:
         raise ValidationError(f"samples of shape {x.shape[1:]}: {net.name} takes {net.input_shape}")
     if labels.shape != x.shape[:1]:
@@ -527,7 +520,7 @@ def _check_batch(cs: ColumnizedSpec, x: np.ndarray, labels) -> np.ndarray:
         )
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValidationError(f"labels of dtype {labels.dtype}: class labels are integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= net.classes):
+    if labels.min() < 0 or labels.max() >= net.classes:
         raise ValidationError(
             f"labels must lie in [0, {net.classes}), got {labels.min()} to {labels.max()}"
         )

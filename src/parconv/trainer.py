@@ -199,7 +199,7 @@ def _loss_rel(a: list[float], b: list[float]) -> float:
 def _param_rel(a: ParamSet, b: ParamSet) -> float:
     worst = 0.0
     for idx in sorted(a):
-        for key in ("w", "b"):
+        for key in a[idx]:
             ta, tb = a[idx][key], b[idx][key]
             scale = max(float(np.max(np.abs(ta))), float(np.max(np.abs(tb))), 1e-300)
             worst = max(worst, float(np.max(np.abs(ta - tb))) / scale)

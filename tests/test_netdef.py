@@ -207,8 +207,9 @@ def test_columnize_m1_matches_base():
 
 def test_columnize_divisibility_error_names_layer():
     net = parse_network("input 3 8 8\nconv 7 3 1 1\nrelu\nfc 10\nsoftmax 10\n")
-    with pytest.raises(PartitionError, match="layer 0"):
+    with pytest.raises(PartitionError, match="layer 0") as err:
         columnize(net, 2)
+    assert str(err.value) == "layer 0 (conv7k3): 7 filters not divisible by 2 columns"
 
 
 def test_columnize_effective_cross_set_and_head():

@@ -23,6 +23,7 @@ from parconv.schemes import (
     gather_dense_params,
     hybrid_step,
     init_dense_params,
+    load_plan,
     merge_params,
     pack_tree,
     parse_plan,
@@ -195,6 +196,15 @@ def test_merge_rejects_misshaped_column_tensors():
         assert str(err.value) == f"layer {idx}: column 1's parameters of shapes {shapes}"
 
 
+def test_split_rejects_a_column_out_of_range():
+    # at the parent: empty views of every split layer, and the whole head
+    dense = init_dense_params(TINY, 0)
+    cs = columnize(TINY, 2, (3,))
+    for column in (2, 5, -1):
+        with pytest.raises(ValidationError, match=f"column {column} out of range for 2 columns"):
+            split_params(dense, cs, column)
+
+
 def test_pack_unpack_roundtrip():
     dense = init_dense_params(MINI, 5)
     cs = columnize(MINI, 1)
@@ -234,8 +244,11 @@ def test_reference_zero_lr_keeps_params():
 def test_reference_step_rejects_bad_inputs():
     params = init_dense_params(TINY, 0)
     x, y = make_batch(TINY, 4)
-    with pytest.raises(ValidationError, match="reference_step needs a non-empty batch"):
+    with pytest.raises(ValidationError, match="empty batch: a batch needs at least one sample"):
         reference_step(TINY, params, (x[:0], y[:0]), SgdState())
+    # at the parent: "conv geometry does not produce an integer output extent"
+    with pytest.raises(ValidationError, match=r"samples of shape \(3, 15, 15\)"):
+        reference_step(TINY, params, (x[:, :, :15, :15], y), SgdState())
     velocity = reference_step(TINY, params, (x, y), SgdState()).velocity
     with pytest.raises(ShapeError, match="reference_step: 7 velocity tensors for 8 parameters"):
         reference_step(TINY, params, (x, y), SgdState(), velocity[:-1])
@@ -392,10 +405,11 @@ def test_bad_batch_rejected_before_any_worker_starts(sched):
 
 @pytest.mark.parametrize("sched", ["lockstep", "threads"])
 def test_evaluation_errors_rejects_bad_batch_before_any_worker_starts(sched):
-    """evaluation_errors checks its batch as hybrid_step does: 1 or 7 labels
-    for 8 samples, samples of the wrong shape, a label outside [0, classes)
-    and float labels each raise a ValidationError naming the problem before
-    any worker starts; the next call counts as on a fresh fabric."""
+    """evaluation_errors checks its batch as hybrid_step does: no samples,
+    1 or 7 labels for 8 samples, samples of the wrong shape, a label outside
+    [0, classes) and float labels each raise a ValidationError naming the
+    problem before any worker starts; the next call counts as on a fresh
+    fabric."""
     plan = ParallelPlan(1, 2, (3,))
     cs = plan_columnized(TINY, plan)
     x, y = make_batch(TINY, 8)
@@ -404,6 +418,7 @@ def test_evaluation_errors_rejects_bad_batch_before_any_worker_starts(sched):
     fab = spawn(2, scheduling=sched)
     setup_workers(fab, plan, cs, init_dense_params(TINY, 0), SgdState())
     bad = [
+        (x[:0], y[:0], "empty batch: a batch needs at least one sample"),
         (x, y[:1], r"labels of shape \(1,\) for 8 samples"),
         (x, y[:7], r"labels of shape \(7,\) for 8 samples"),
         (x[:, :, :15, :15], y, r"samples of shape \(3, 15, 15\)"),
@@ -864,6 +879,43 @@ def test_ledger_equals_comm_volume(net, plan):
         assert step.ledger_messages == volume.messages
         assert fab.ledger.total_bytes - before_b == volume.bytes
         assert link_delta(before_links, fab.ledger.snapshot()) == expected_links
+
+
+BENCH_CONFIGS = CONFIGS.parent / "stepbench" / "configs"
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@pytest.mark.parametrize("net, batch", [(MID, 32), (TINY, 8)], ids=["midnet", "tinynet"])
+@pytest.mark.parametrize("name", ["d1m1", "d2m1", "d1m2", "d2m2", "d4m1"])
+def test_paper_plans_step_and_evaluation_phase_by_phase(name, net, batch, sched):
+    """The benchmark's five plans: one step's traffic equals comm_phases phase
+    by phase, and one evaluation over a shard, which runs on replica 0's
+    columns only, equals the forward cross phases of a single replica."""
+    plan = load_plan(BENCH_CONFIGS / f"{name}.plan")
+    cs = plan_columnized(net, plan)
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
+    x, y = make_batch(net, batch)
+    shard = plan.shard(batch)
+    tracer = TRACER.Tracer()
+    tracer.install()  # records each send's tag and bytes under the key set
+    try:
+        tracer.key = "step"
+        hybrid_step(fab, plan, cs, x, y)
+        tracer.key, before = "eval", (fab.ledger.total_bytes, fab.ledger.total_messages)
+        evaluation_errors(fab, plan, cs, x[:shard], y[:shard])
+        spent = (fab.ledger.total_bytes - before[0], fab.ledger.total_messages - before[1])
+    finally:
+        tracer.uninstall()
+    traffic = {key: TRACER.phase_traffic([s for s in tracer.sends if s[0] == key])
+               for key in ("step", "eval")}
+    replica = ParallelPlan(1, plan.model_columns, plan.cross_layers)
+    forward = {ph.label: (ph.total_bytes, ph.total_messages)
+               for ph in comm_phases(replica, cs, shard) if ph.label.endswith("-fwd")}
+    assert traffic["step"] == {ph.label: (ph.total_bytes, ph.total_messages)
+                               for ph in comm_phases(plan, cs, batch)}
+    assert traffic["eval"] == forward
+    assert spent == (sum(b for b, _ in forward.values()), sum(n for _, n in forward.values()))
 
 
 @pytest.mark.parametrize("m", [1, 2])
