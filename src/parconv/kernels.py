@@ -3,9 +3,9 @@
 Kernels take and return plain batch x channels x height x width arrays:
 conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
 each backward takes the forward's input, weights and upstream gradient.
-Windows are square (conv weights are (N, C, k, k)). One read-only strided
-view, _windows, serves conv and max-pooling; conv_output_size is the one
-check that a window tiles its input.
+Windows are square (conv weights are (N, C, k, k)). One strided view,
+_windows, serves conv and max-pooling; conv_output_size is the one check
+that a window tiles its input.
 
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
@@ -88,6 +88,21 @@ dimension each ran slower than one product, and the channels-first products
 w @ columns and go[s] @ columns^T, whose largest on midnet (layer 0) is
 0.69e6. Where OpenBLAS picks a core without the small kernel (BLAS_CORE
 names the core), the blocks cost 1-5% on those two products (Haswell).
+
+Max-pooling stores no argmax. The forward keeps only each window's max, a
+running np.maximum over the k*k strided views of the windows, through which
+a NaN propagates. The backward is given x and those maxima again and finds
+each window's winner tap by tap, in flat order: the first entry equal to the
+max, or, in a window that pooled to NaN, the first NaN, which is the entry
+np.argmax picks. It writes grad_out times that hit mask into the tap's view
+of the input gradient, or adds it where windows overlap, with no index array
+and no np.add.at scatter. Krizhevsky's cuda-convnet, on which the paper
+builds, routes its pooling gradient this way, and cuDNN's pooling backward
+likewise takes x, y and dy (Chetlur et al., 2014). Evaluation, which runs
+no backward, thus builds nothing beyond the maxima, and a training step
+finds each winner once, in the backward (BENCH_pool.json). A ReLU
+directly before a pool can run on the pool's output (max commutes with
+ReLU); the column engine does so (schemes._layer).
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -199,8 +214,8 @@ def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Read-only (B, C, H', W', k, k) view of every k x k window of x."""
+def _windows(x: np.ndarray, k: int, stride: int, writeable: bool = False) -> np.ndarray:
+    """(B, C, H', W', k, k) view of every k x k window of x, read-only unless `writeable`."""
     b, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, 0)
     wo = conv_output_size(w, k, stride, 0)
@@ -209,7 +224,7 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
         x,
         shape=(b, c, ho, wo, k, k),
         strides=(sb, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
+        writeable=writeable,
     )
 
 
@@ -425,49 +440,61 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
-def maxpool_forward(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window max plus argmax (flat index within each k*k window, first max wins).
+def maxpool_forward(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Window max: a running np.maximum over the k*k strided views of the windows.
 
-    A running max over the k*k strided views of the windows, in branch-free
-    ufuncs (a masked copy costs ~10x as much on the unpredictable masks of
-    ReLU outputs). An entry takes over only if it is greater than the max so
-    far, or a NaN while that max is not, so argmax equals np.argmax over each
-    window, NaN included, and out equals the entry it points to.
+    A NaN propagates, so out is NaN wherever its window holds one; either
+    way out equals the entry np.argmax picks in each window. No argmax is
+    built: maxpool_backward finds it again from x and out.
     """
     _require(x.ndim == 4, f"maxpool input must be 4-d, got {x.shape}")
     win = _windows(x, k, stride)
     out = win[..., 0, 0].copy()
-    argmax = np.zeros(out.shape, dtype=np.intp)
-    below, takes = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
-    index = np.empty(out.shape, dtype=np.intp)
     for flat in range(1, k * k):
-        entry = win[..., flat // k, flat % k]
-        np.less_equal(entry, out, out=below)  # False where entry is greater or a NaN
-        np.equal(out, out, out=takes)  # False where the max so far is a NaN
-        np.greater(takes, below, out=takes)
-        np.maximum(entry, out, out=out)
-        np.multiply(takes, flat, out=index)
-        np.maximum(argmax, index, out=argmax)  # every earlier entry has a lower flat index
-    return out, argmax
+        np.maximum(win[..., flat // k, flat % k], out, out=out)
+    return out
 
 
 def maxpool_backward(
-    x: np.ndarray, k: int, stride: int, grad_out: np.ndarray, argmax: np.ndarray
+    x: np.ndarray, k: int, stride: int, grad_out: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Routes each upstream gradient to its window's argmax position (from maxpool_forward)."""
-    b, c, h, w = x.shape
-    ho, wo = _windows(x, k, stride).shape[2:4]
-    _require(
-        grad_out.shape == argmax.shape == (b, c, ho, wo), "maxpool grad_out/argmax shape mismatch"
-    )
-    iy, ix = np.divmod(argmax, k)
-    oy = np.arange(ho)[:, None] * stride
-    ox = np.arange(wo) * stride
-    bc = np.arange(b * c).reshape(b, c, 1, 1)
-    flat = (bc * h + oy + iy) * w + ox + ix
-    grad_x = np.zeros(b * c * h * w, dtype=FLOAT)
-    np.add.at(grad_x, flat.ravel(), grad_out.ravel())
-    return grad_x.reshape(b, c, h, w)
+    """Routes each upstream gradient to the first entry of its window equal to
+    the window's max `out` (from maxpool_forward), the entry np.argmax picks.
+
+    The taps are visited in flat order; a tap takes the gradient of each
+    window whose max it equals (a NaN equals a NaN max) and whose gradient no
+    earlier tap took. Each tap writes grad_out * hit into its strided view of
+    grad_x, or adds it where windows overlap (k > stride), so there an entry
+    sums, tap by tap, the gradients of every window it wins. Every other
+    entry of a window receives grad_out * 0.0: -0.0 (equal to 0.0 under ==)
+    where grad_out is negative, and NaN where grad_out is not finite, so a
+    non-finite gradient spreads over its whole window. Entries no window
+    covers stay 0.0. The mask multiply is branch-free: a masked copy
+    (np.copyto with where=hit) took 2.7x as long per tap on midnet's first
+    pool, whose ReLU-output masks branch unpredictably.
+    """
+    win = _windows(x, k, stride)
+    _require(grad_out.shape == out.shape == win.shape[:4], "maxpool grad_out/out shape mismatch")
+    # windows with k == stride tile x, so every entry is written
+    grad_x = (np.empty if k == stride else np.zeros)(x.shape, dtype=FLOAT)
+    grad_win = _windows(grad_x, k, stride, writeable=True)
+    nan = np.isnan(out)
+    if not nan.any():
+        nan = None
+    free = np.ones(out.shape, dtype=bool)  # windows whose gradient no tap has taken yet
+    hit = np.empty(out.shape, dtype=bool)
+    for flat in range(k * k):
+        entry, target = win[..., flat // k, flat % k], grad_win[..., flat // k, flat % k]
+        np.equal(entry, out, out=hit)
+        if nan is not None:  # NaN != NaN: a NaN entry hits a NaN max
+            hit |= nan & np.isnan(entry)
+        hit &= free
+        free ^= hit
+        if k > stride:
+            target += grad_out * hit
+        else:
+            np.multiply(grad_out, hit, out=target)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------

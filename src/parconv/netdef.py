@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 from .errors import PartitionError, ValidationError
@@ -193,6 +193,16 @@ class ColumnLayer:
     in_shape: tuple[int, ...]  # per-sample shape consumed (after any concat)
     out_shape: tuple[int, ...]  # per-sample shape produced by this column
     weight_shape: tuple[int, ...] | None = None
+    # a ReLU directly followed by a max-pool that is not a cross layer, or that
+    # pool: the ReLU passes its input through and the pool rectifies its maxima
+    relu_pool: bool = False
+    # {"w": weight shape, "b": bias shape} for a weight layer, {} otherwise;
+    # derived once, on construction, and read-only
+    param_shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = {"w": self.weight_shape, "b": self.out_shape[:1]} if self.weight_shape else {}
+        object.__setattr__(self, "param_shapes", shapes)
 
     @property
     def name(self) -> str:
@@ -201,12 +211,7 @@ class ColumnLayer:
     @property
     def bias_shape(self) -> tuple[int, ...] | None:
         """One bias per output channel or unit of a weight layer."""
-        return self.out_shape[:1] if self.weight_shape else None
-
-    @property
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """{"w": weight shape, "b": bias shape} for a weight layer, {} otherwise."""
-        return {"w": self.weight_shape, "b": self.bias_shape} if self.weight_shape else {}
+        return self.param_shapes.get("b")
 
     @property
     def param_count(self) -> int:
@@ -335,7 +340,13 @@ def columnize(net: NetworkSpec, m: int, cross_layers=()) -> ColumnizedSpec:
         except ValidationError as err:
             raise type(err)(f"layer {i} ({_layer_name(layer)}): {err}") from None
         grouped = m > 1 and weight_shape is not None and not (full or cross)
-        cols.append(ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape))
+        # max commutes with ReLU, so the ReLU before a pool may run on its maxima
+        relu_pool = (isinstance(layer, MaxPool) and not cross and i > 0
+                     and isinstance(cols[-1].layer, ReLU))
+        if relu_pool:
+            cols[-1] = replace(cols[-1], relu_pool=True)
+        cols.append(ColumnLayer(i, layer, cross, shared, grouped, shape, out_shape, weight_shape,
+                                relu_pool))
         if isinstance(layer, (Conv, FC)):
             full = shared
         shape = out_shape
@@ -402,7 +413,9 @@ def column_footprint_elements(cs: ColumnizedSpec, per_device_batch: int) -> tupl
 
     Activations are the step's forward cache: the replicated input, every
     layer's own output, and the concatenation buffer built at each cross
-    layer. Gradient workspace is deliberately excluded.
+    layer. Gradient workspace is deliberately excluded. A ReLU that leaves
+    its rectification to the pool after it (relu_pool) outputs its input
+    unchanged, a same-sized activation, so it is counted like any other.
     """
     params = cs.column_param_count
     acts = math.prod(cs.base.input_shape)

@@ -185,6 +185,14 @@ def _check_shapes(got: dict[str, np.ndarray], want: dict[str, tuple], where: str
         raise ValidationError(f"{where} parameters of shapes {shapes}, expected {want}")
 
 
+def _check_dense(dense: ColumnizedSpec, params: ParamSet) -> None:
+    """Raise naming the layer unless `params` holds exactly the tensors of each
+    weight layer of `dense` (a columnize(net, 1)), each of its shape."""
+    for cl in dense.param_layers():
+        _check_shapes(params.get(cl.index, {}), cl.param_shapes,
+                      f"layer {cl.index} ({cl.name}): dense")
+
+
 def merge_params(per_column: list[ParamSet], cs: ColumnizedSpec) -> ParamSet:
     """Reassemble column parameters into the dense layout (inverse of
     split_params), as fresh arrays written through split_params' views.
@@ -294,7 +302,11 @@ def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray):
     next() yields the layer's output on input `a`; sending it the output's
     gradient yields (input gradient, {"w", "b"} gradients or None). Base
     layer 0, every column's first, skips its input gradient (w.r.t. the
-    image, never used). The kernels are looked up in this module at each call.
+    image, never used). A ReLU marked relu_pool passes its input and its
+    gradient through, and the max-pool after it rectifies its maxima: the
+    same outputs and gradients (under ==), on about 1/stride**2 as many
+    entries.
+    The kernels are looked up in this module at each call.
     """
     layer, grad = cl.layer, None
     if cl.weight_shape:
@@ -307,13 +319,18 @@ def _layer(cl: ColumnLayer, params: ParamSet, a: np.ndarray):
         g = yield fc_forward(a.reshape(a.shape[0], -1), w, b)
         g_in, gw, gb = fc_backward(a.reshape(a.shape[0], -1), w, g)
         g_in, grad = g_in.reshape(a.shape), {"w": gw, "b": gb}
+    elif isinstance(layer, ReLU) and cl.relu_pool:  # the pool after it rectifies
+        g_in = yield a
     elif isinstance(layer, ReLU):
         g = yield relu_forward(a)
         g_in = relu_backward(a, g)
     elif isinstance(layer, MaxPool):
-        out, argmax = maxpool_forward(a, layer.kernel, layer.stride)
-        g = yield out
-        g_in = maxpool_backward(a, layer.kernel, layer.stride, g, argmax)
+        out = maxpool_forward(a, layer.kernel, layer.stride)
+        if cl.relu_pool:
+            g = relu_backward(out, (yield relu_forward(out)))
+        else:
+            g = yield out
+        g_in = maxpool_backward(a, layer.kernel, layer.stride, g, out)
     else:  # SoftmaxXent, always last: its flattened input is the logits
         g = yield a.reshape(a.shape[0], -1)
         g_in = g.reshape(a.shape)
@@ -411,12 +428,14 @@ def reference_step(
 ) -> StepResult:
     """Full-batch forward/backward/update on one worker; the oracle for all schemes.
 
-    The batch is checked as hybrid_step checks it (see _check_batch).
+    The batch is checked as hybrid_step checks it (see _check_batch), and
+    the parameters as setup_workers checks them (see _check_dense).
     `velocity` holds one tensor per parameter tensor in params_as_lists order
     (None: all zeros, the first step). The updated parameters and velocity
     are returned as fresh arrays; the arguments are left unchanged.
     """
     cs = columnize(net, 1)
+    _check_dense(cs, params)
     x, labels = batch
     labels = _check_batch(cs, x, labels)
     loss, grads = column_fwd_bwd(cs, params, x, labels, 1.0 / x.shape[0], None)
@@ -459,9 +478,7 @@ def setup_workers(
             f"is not plan_columnized(net, plan) for plan {plan.describe()} "
             f"with cross layers {list(plan.cross_layers)}"
         )
-    for cl in columnize(cs.base, 1).param_layers():
-        _check_shapes(dense_params.get(cl.index, {}), cl.param_shapes,
-                      f"layer {cl.index} ({cl.name}): dense")
+    _check_dense(columnize(cs.base, 1), dense_params)
     m = plan.model_columns
     # built on the host: large buffers allocated in the short-lived worker
     # threads page-fault afresh on every set-up

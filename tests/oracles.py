@@ -91,6 +91,23 @@ def naive_maxpool(x, k, stride):
     return out
 
 
+def argmax_scatter(x, k, stride, grad_out):
+    """Max-pool backward as an index scatter: np.add.at of each window's
+    gradient onto the entry np.argmax picks in it (the first max, or the
+    first NaN), over a zeroed input-shaped array."""
+    b, c, h, w = x.shape
+    ho, wo = grad_out.shape[2:]
+    # entry (i, j) of every window, stacked in flat tap order
+    taps = [x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            for i in range(k) for j in range(k)]
+    iy, ix = np.divmod(np.argmax(np.stack(taps, axis=-1), axis=-1), k)
+    flat = (np.arange(b * c).reshape(b, c, 1, 1) * h + np.arange(ho)[:, None] * stride + iy) * w
+    flat += np.arange(wo) * stride + ix
+    grad_x = np.zeros(x.size)
+    np.add.at(grad_x, flat.ravel(), grad_out.ravel())
+    return grad_x.reshape(x.shape)
+
+
 def central_difference(loss_fn, arr, step=1e-6):
     """Elementwise central finite differences of a scalar function."""
     grad = np.zeros_like(arr, dtype=np.float64)

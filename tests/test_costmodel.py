@@ -94,6 +94,15 @@ def test_step_time_latency_term():
     assert abs(st.comm_seconds - 2 * 0.5) < 1e-12  # reduce leg + broadcast leg
 
 
+def test_step_time_latency_counts_the_busiest_workers_messages():
+    # d2m2 on tinynet: six cross phases of one message per worker (four in all)
+    # and two collectives of one message at each column root (two in all), so
+    # latency is paid 8 times, where the step sends 28 messages
+    cp = CostParams(throughput=1e9, bandwidth=1e30, latency=0.5, b_half=1e-30)
+    st = step_time(ParallelPlan(2, 2, (3,)), TINY, 8, cp)
+    assert abs(st.comm_seconds - 8 * 0.5) < 1e-12
+
+
 def test_step_time_doubling_batch_doubles_compute_when_saturated():
     cp = CostParams(throughput=1e9, bandwidth=1e30, latency=0.0, b_half=0.01)
     a = step_time(ParallelPlan(1, 1), TINY, 8, cp).compute_seconds

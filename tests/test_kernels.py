@@ -34,6 +34,7 @@ from parconv.schemes import ParallelPlan, plan_columnized
 
 from oracles import (
     CONFIGS,
+    argmax_scatter,
     central_difference,
     naive_col2im,
     naive_conv2d,
@@ -142,7 +143,7 @@ def test_maxpool_rejects_bad_window(k, stride):
     with pytest.raises(ValidationError):
         maxpool_forward(x, k, stride)
     with pytest.raises(ValidationError):
-        maxpool_backward(x, k, stride, np.ones((1, 1, 4, 4)), np.zeros((1, 1, 4, 4), dtype=int))
+        maxpool_backward(x, k, stride, np.ones((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)))
 
 
 def test_conv_backward_zero_upstream():
@@ -682,86 +683,103 @@ def test_relu_finite_difference_away_from_kink():
 
 def test_maxpool_single_window():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    out, argmax = maxpool_forward(x, 2, 2)
+    out = maxpool_forward(x, 2, 2)
     assert out.item() == 4.0
-    assert argmax.item() == 3  # flat index within the window
+    g = maxpool_backward(x, 2, 2, np.ones((1, 1, 1, 1)), out)
+    assert np.array_equal(g[0, 0], [[0.0, 0.0], [0.0, 1.0]])  # flat index 3 within the window
 
 
 def test_maxpool_tie_routes_to_first():
     x = np.full((1, 1, 2, 2), 7.0)
-    out, argmax = maxpool_forward(x, 2, 2)
-    assert argmax.item() == 0
-    g = maxpool_backward(x, 2, 2, np.ones((1, 1, 1, 1)), argmax)
+    out = maxpool_forward(x, 2, 2)
+    g = maxpool_backward(x, 2, 2, np.ones((1, 1, 1, 1)), out)
     assert np.array_equal(g[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_maxpool_matches_naive_oracle():
     x = R(9).randn(1, 1, 6, 6)
-    out, _ = maxpool_forward(x, 2, 2)
+    out = maxpool_forward(x, 2, 2)
     assert np.array_equal(out, naive_maxpool(x, 2, 2))
 
 
 @pytest.mark.parametrize(
-    "g_shape, argmax_shape", [((1, 1, 2, 1), (1, 1, 2, 2)), ((1, 1, 2, 2), (1, 1, 1, 1))]
+    "g_shape, out_shape", [((1, 1, 2, 1), (1, 1, 2, 2)), ((1, 1, 2, 2), (1, 1, 1, 1))]
 )
-def test_maxpool_backward_rejects_bad_shapes(g_shape, argmax_shape):
-    g, argmax = np.ones(g_shape), np.zeros(argmax_shape, dtype=int)
-    with pytest.raises(ShapeError, match="maxpool grad_out/argmax shape mismatch"):
-        maxpool_backward(np.ones((1, 1, 4, 4)), 2, 2, g, argmax)
+def test_maxpool_backward_rejects_bad_shapes(g_shape, out_shape):
+    g, out = np.ones(g_shape), np.zeros(out_shape)
+    with pytest.raises(ShapeError, match="maxpool grad_out/out shape mismatch"):
+        maxpool_backward(np.ones((1, 1, 4, 4)), 2, 2, g, out)
 
 
 def test_maxpool_backward_scatters_correctly():
     rs = R(10)
     x = rs.randn(2, 2, 6, 6)
-    out, argmax = maxpool_forward(x, 2, 2)
+    out = maxpool_forward(x, 2, 2)
     g = rs.randn(*out.shape)
-    gx = maxpool_backward(x, 2, 2, g, argmax)
+    gx = maxpool_backward(x, 2, 2, g, out)
     assert gx.shape == x.shape
     assert abs(gx.sum() - g.sum()) < 1e-12  # every upstream unit lands exactly once
     # gradient sits only at window maxima
     mask = gx != 0
     assert mask.sum() == g.size
+    assert np.array_equal(gx, argmax_scatter(x, 2, 2, g))
 
 
 def test_maxpool_overlapping_windows_accumulate():
     x = np.zeros((1, 1, 3, 3))
     x[0, 0, 1, 1] = 5.0  # the max of all four overlapping 2x2 windows
-    out, argmax = maxpool_forward(x, 2, 1)
-    gx = maxpool_backward(x, 2, 1, np.ones_like(out), argmax)
+    out = maxpool_forward(x, 2, 1)
+    gx = maxpool_backward(x, 2, 1, np.ones_like(out), out)
     assert gx[0, 0, 1, 1] == 4.0
-
-
-def _window_argmax(x, k, stride):
-    """Today's reference: np.argmax over a copied (B, C, H', W', k*k) window array."""
-    win = _windows(x, k, stride)
-    return np.argmax(win.reshape(*win.shape[:4], k * k), axis=-1)
 
 
 @pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 1), (2, 3), (1, 1), (3, 3)])
 def test_maxpool_argmax_bitwise_as_np_argmax_on_relu_outputs(k, stride):
     """ReLU outputs tie at zero in most windows; overlapping (3/2, 2/1) and gapped
-    (2/3) windows too. The running max keeps np.argmax's first-max rule."""
+    (2/3) windows too. The backward routes each gradient to the entry np.argmax
+    picks (the first max): with integer gradients it equals np.add.at's scatter
+    exactly, overlapping windows summed."""
     rs = R(20 + 10 * k + stride)
     x = relu_forward(rs.randn(3, 4, stride * 5 + k, stride * 4 + k) - 0.5)
     assert np.mean(x == 0.0) > 0.5
-    out, argmax = maxpool_forward(x, k, stride)
-    want = _window_argmax(x, k, stride)
-    assert argmax.dtype == want.dtype and np.array_equal(argmax, want)
+    out = maxpool_forward(x, k, stride)
+    g = rs.randint(-1000, 1000, size=out.shape).astype(float)
+    assert np.array_equal(maxpool_backward(x, k, stride, g, out), argmax_scatter(x, k, stride, g))
     assert np.array_equal(out, naive_maxpool(x, k, stride))
 
 
 @pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 3)])
 def test_maxpool_out_is_the_entry_argmax_points_to_with_nan(k, stride):
+    """A window holding a NaN pools to NaN and routes its gradient to its first
+    NaN, as np.argmax does; every other window to the entry np.argmax picks."""
     rs = R(30 + k + stride)
     values = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 2.0, np.inf])
     x = rs.choice(values, size=(4, 3, stride * 6 + k, stride * 5 + k))
-    out, argmax = maxpool_forward(x, k, stride)
-    win = _windows(x, k, stride)
-    picked = np.take_along_axis(win.reshape(*win.shape[:4], k * k), argmax[..., None], -1)[..., 0]
+    out = maxpool_forward(x, k, stride)
+    win = _windows(x, k, stride).reshape(*out.shape, k * k)
+    picked = np.take_along_axis(win, np.argmax(win, axis=-1)[..., None], -1)[..., 0]
     assert np.isnan(out).any() and not np.isnan(out).all()
     assert np.array_equal(out, picked, equal_nan=True)
     assert np.array_equal(np.signbit(out), np.signbit(picked))
-    assert np.array_equal(argmax, _window_argmax(x, k, stride))
+    g = rs.randint(1, 1000, size=out.shape).astype(float)
+    assert np.array_equal(maxpool_backward(x, k, stride, g, out), argmax_scatter(x, k, stride, g))
+
+
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 2)])
+def test_maxpool_backward_spreads_a_non_finite_gradient_over_its_window(k, stride):
+    """An infinite gradient reaches its window's max as is and every other entry
+    of the window as inf * 0.0, NaN; windows with finite gradients are unchanged."""
+    rs = R(50 + k)
+    x = rs.randn(1, 2, stride * 3 + k, stride * 3 + k)
+    out = maxpool_forward(x, k, stride)
+    g = rs.randint(1, 9, size=out.shape).astype(float)
+    g[0, 1, 1, 2] = np.inf
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        got = maxpool_backward(x, k, stride, g, out)
+    top, left = stride, 2 * stride
+    window = got[0, 1, top : top + k, left : left + k]
+    assert np.isinf(window).sum() == 1 and np.isnan(window).sum() == k * k - 1
+    assert np.array_equal(got[0, 0], argmax_scatter(x, k, stride, g)[0, 0])
 
 
 def test_relu_backward_masks_like_where():
@@ -942,7 +960,7 @@ def test_kernels_produce_finite_values(seed):
     w, b = rs.randn(4, 2, 3, 3), rs.randn(4)
     out = conv2d_forward(x, w, b, stride=1, pad=1)
     gx, gw, gb = conv2d_backward(x, w, rs.randn(*out.shape), stride=1, pad=1)
-    pooled, argmax = maxpool_forward(out, 2, 2)
+    pooled = maxpool_forward(out, 2, 2)
     flat = pooled.reshape(2, -1)
     w2 = rs.randn(flat.shape[1], 5)
     logits = fc_forward(flat, w2, rs.randn(5))

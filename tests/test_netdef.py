@@ -272,6 +272,28 @@ def test_grouped_column_consumes_slice():
     assert cs.col_layers[3].weight_shape == (4, 4, 3, 3)
 
 
+def test_columnize_marks_each_relu_directly_before_a_pool():
+    """relu_pool marks a ReLU followed by a max-pool, and that pool, under every
+    column count; a ReLU before any other layer and a pool after any other
+    layer stay unmarked."""
+    alexnet = load_network(CONFIGS / "alexnet.net")
+    for m, cross in ((1, ()), (2, (3, 6, 8, 10)), (4, ())):
+        cs = columnize(alexnet, m, cross)
+        assert [cl.index for cl in cs.col_layers if cl.relu_pool] == [1, 2, 4, 5, 11, 12]
+    net = parse_network(
+        "input 1 8 8\nconv 4 3 1 1\nrelu\nrelu\nmaxpool 2 2\nmaxpool 2 2\nfc 10\nsoftmax 10\n"
+    )
+    assert [cl.index for cl in columnize(net, 1).col_layers if cl.relu_pool] == [2, 3]
+
+
+def test_param_shapes_are_derived_once_per_layer():
+    cs = columnize(parse_network(TINY), 2, (3,))
+    for cl in cs.col_layers:
+        assert cl.param_shapes is cl.param_shapes
+        assert cl.bias_shape == cl.param_shapes.get("b")
+        assert list(cl.param_shapes) == (["w", "b"] if cl.weight_shape else [])
+
+
 # ---------------------------------------------------------------------------
 # cross-connection bytes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -786,6 +787,48 @@ def test_first_layer_input_gradient_is_not_computed(monkeypatch):
     assert flags == [True, False]  # layer 3, then layer 0
 
 
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 1), (2, 3), (1, 1)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_relu_after_the_pool_equals_relu_before_it(k, stride, seed):
+    """Max commutes with ReLU. A ReLU marked relu_pool passes its input through
+    and its pool rectifies the maxima; outputs and input gradients equal, under
+    ==, those of the ReLU rectifying every entry before the pool, on conv-like
+    inputs with positive ties and ties at 0.0 and -0.0, NaNs and +-inf."""
+    side = stride * 3 + k
+    net = parse_network(f"input 2 {side} {side}\nconv 4 3 1 1\nrelu\nmaxpool {k} {stride}\n"
+                        "fc 10\nsoftmax 10\n")
+    relu, pool = columnize(net, 1).col_layers[1:3]
+    assert relu.relu_pool and pool.relu_pool
+    rs = np.random.RandomState(seed)
+    a = rs.randn(3, *relu.in_shape)
+    for value, share in ((0.0, 0.2), (-0.0, 0.2), (1.5, 0.1), (np.nan, 0.03), (np.inf, 0.02),
+                         (-np.inf, 0.02)):
+        a[rs.rand(*a.shape) < share] = value
+    g = rs.randn(3, *pool.out_shape)
+    rectified = []
+
+    def spy(x):
+        rectified.append(x.shape)
+        return kernels.relu_forward(x)
+
+    def run(relu, pool):
+        relu_layer = schemes._layer(relu, {}, a)
+        pool_layer = schemes._layer(pool, {}, next(relu_layer))
+        out = next(pool_layer)
+        g_pool, _ = pool_layer.send(g)
+        g_relu, _ = relu_layer.send(g_pool)
+        return out, g_relu
+
+    with mock.patch.object(schemes, "relu_forward", spy):
+        fused = run(relu, pool)
+        plain = run(replace(relu, relu_pool=False), replace(pool, relu_pool=False))
+    assert rectified == [(3, *pool.out_shape), a.shape]
+    for got, want in zip(fused, plain):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert not np.isnan(fused[1]).any()
+
+
 def test_losses_are_finite_and_plan_loss_is_full_batch_mean():
     plan = ParallelPlan(4, 1)
     cs = plan_columnized(TINY, plan)
@@ -918,10 +961,53 @@ def test_paper_plans_step_and_evaluation_phase_by_phase(name, net, batch, sched)
     assert spent == (sum(b for b, _ in forward.values()), sum(n for _, n in forward.values()))
 
 
+@pytest.mark.parametrize("sched", ["lockstep", "threads"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_evaluation_errors_breaks_logit_ties_to_the_lowest_class(m, sched):
+    """A zero head weight makes every sample's logits the head bias, which ties
+    classes 1 and 4 at the top: each sample is counted as class 1."""
+    plan = ParallelPlan(1, m, (3,) if m > 1 else ())
+    cs = plan_columnized(TINY, plan)
+    dense = init_dense_params(TINY, 0)
+    dense[7]["w"][:] = 0.0
+    dense[7]["b"][:] = 0.0
+    dense[7]["b"][[1, 4]] = 1.0
+    fab = spawn(plan.workers, scheduling=sched)
+    setup_workers(fab, plan, cs, dense, SgdState())
+    x, _ = make_batch(TINY, 8)
+    y = np.array([1, 4, 1, 1, 0, 1, 4, 9])
+    assert evaluation_errors(fab, plan, cs, x, y) == 4  # every label but the four 1s
+
+
+@pytest.mark.parametrize("fabric_workers", [1, 3, 4])
+def test_setup_workers_needs_exactly_the_plans_workers(fabric_workers):
+    plan = ParallelPlan(1, 2, (3,))
+    fab = spawn(fabric_workers)
+    with pytest.raises(ValidationError) as err:
+        setup_workers(fab, plan, plan_columnized(TINY, plan), init_dense_params(TINY, 0),
+                      SgdState())
+    assert str(err.value) == f"plan grid d1xm2 needs 2 workers, fabric has {fabric_workers}"
+
+
+def test_comm_phases_count_the_busiest_workers_messages():
+    """A worker sends m - 1 messages in a cross phase (one to each peer
+    column), and a column root receives d - 1 in a collective."""
+    plan = ParallelPlan(3, 4, (3,))
+    phases = comm_phases(plan, plan_columnized(TINY, plan), 12)
+    assert [(ph.label, ph.total_messages, ph.max_node_messages) for ph in phases] == [
+        *[(f"cross{i}-fwd", 36, 3) for i in (3, 5, 7)],
+        *[(f"cross{i}-bwd", 36, 3) for i in (7, 5, 3)],
+        ("grad-reduce", 8, 2),
+        ("param-broadcast", 8, 2),
+    ]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_setup_workers_checks_dense_params_against_the_network(m):
     # at the parent: twice the filters trained on the first 8, a transposed fc
-    # weight failed in unpack_tree, and a missing layer raised KeyError: 3
+    # weight failed in unpack_tree, and a missing layer raised KeyError: 3;
+    # reference_step checks by the same rule, where a missing layer raised
+    # KeyError: 3 and a wide layer 0 failed at layer 3 without naming layer 0
     plan = ParallelPlan(1, m, (3,) if m > 1 else ())
     cs = plan_columnized(TINY, plan)
     fab = spawn(plan.workers)
@@ -942,6 +1028,9 @@ def test_setup_workers_checks_dense_params_against_the_network(m):
             setup_workers(fab, plan, cs, bad, SgdState())
         assert str(err.value) == message
         assert fab.run(lambda ctx: dict(ctx.local)) == [{}] * plan.workers  # none started
+        with pytest.raises(ValidationError) as err:
+            reference_step(TINY, bad, make_batch(TINY, 4), SgdState())
+        assert str(err.value) == message
     setup_workers(fab, plan, cs, dense, SgdState())
 
 
