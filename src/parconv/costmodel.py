@@ -242,14 +242,14 @@ def calibrate(
     batch: int = 256,
     epochs: int = 100,
     dataset_size: int = IMAGENET_TRAIN_SIZE,
-    memory: int = DEFAULT_MEMORY,
 ) -> CostParams:
     """Fit (throughput, bandwidth, latency, b_half) to observed (plan, days) rows.
 
     Minimises the mean squared log prediction error. Deterministic: an
     exhaustive scan of the documented grid (ties keep the lexicographically
     first point) seeds a Nelder-Mead refinement over the log parameters.
-    Observations whose plan cannot fit in `memory` are rejected.
+    Observations whose plan cannot fit in DEFAULT_MEMORY, the capacity the
+    fitted parameters keep, are rejected.
     """
     if epochs < 1:
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
@@ -263,10 +263,10 @@ def calibrate(
         if days <= 0:
             raise CalibrationError(f"observed days must be positive, got {days} for {plan.describe()}")
         pc = _plan_cost(plan, net, batch)
-        if pc.footprint_bytes > memory:
+        if pc.footprint_bytes > DEFAULT_MEMORY:
             raise CalibrationError(
                 f"observation {plan.describe()} is infeasible: worker needs "
-                f"{pc.footprint_bytes} B but capacity is {memory} B"
+                f"{pc.footprint_bytes} B but capacity is {DEFAULT_MEMORY} B"
             )
         plan_costs.append(pc)
         targets.append(days)
@@ -312,6 +312,4 @@ def calibrate(
         if res.fun < best_err:
             best_err = float(res.fun)
             best = tuple(float(10.0**v) for v in res.x)
-    return CostParams(
-        throughput=best[0], bandwidth=best[1], latency=best[2], b_half=best[3], memory=memory
-    )
+    return CostParams(throughput=best[0], bandwidth=best[1], latency=best[2], b_half=best[3])

@@ -85,6 +85,8 @@ def gen_synthetic(
         test_per_class = max(1, per_class // 4)
     if test_per_class < 1:
         raise DatasetError("test_per_class must be >= 1 (empty split)")
+    if len(shape) != 3 or min(shape) < 1:
+        raise DatasetError(f"sample shape must be three extents C, H, W >= 1, got {tuple(shape)}")
     dim = int(np.prod(shape))
     templates = [
         rng.derive(seed, rng.DOMAIN_TEMPLATE, k).uniform_array(dim, -1.0, 1.0)

@@ -64,10 +64,6 @@ class CommLedger:
         entry[0] += nbytes
         entry[1] += 1
 
-    def link(self, src: int, dst: int) -> tuple[int, int]:
-        entry = self._links.get((src, dst), (0, 0))
-        return entry[0], entry[1]
-
     @property
     def total_bytes(self) -> int:
         return sum(e[0] for e in self._links.values())
@@ -196,10 +192,6 @@ class Fabric:
         self._blocked: dict[int, tuple | None] = {}
         self._finished: set[int] = set()
         self._tally: list[tuple[int, int, int]] = []  # (src, dst, bytes) per send
-
-    @property
-    def num_links(self) -> int:
-        return self.n * (self.n - 1)
 
     # -- scheduling internals (called with self._cond held) -------------------
     def _runnable(self, wid: int) -> bool:

@@ -4,8 +4,9 @@ Kernels take and return plain batch x channels x height x width arrays:
 conv2d_forward(x, w, b, stride, pad) mirrors fc_forward(x, w, b), and
 each backward takes the forward's input, weights and upstream gradient.
 Windows are square (conv weights are (N, C, k, k)). One strided view,
-_windows, serves conv and max-pooling; conv_output_size is the one check
-that a window tiles its input.
+_windows, serves conv and max-pooling and is the one check that a windowed
+array is 4-d; conv_output_size is the one check that a window tiles its
+input, and _conv_shapes gives both conv kernels their geometry.
 
 Conv and FC are GEMMs (np.matmul) on the unfolded input, after Chellapilla,
 Puri & Simard, "High Performance Convolutional Neural Networks for Document
@@ -94,15 +95,16 @@ running np.maximum over the k*k strided views of the windows, through which
 a NaN propagates. The backward is given x and those maxima again and finds
 each window's winner tap by tap, in flat order: the first entry equal to the
 max, or, in a window that pooled to NaN, the first NaN, which is the entry
-np.argmax picks. It writes grad_out times that hit mask into the tap's view
-of the input gradient, or adds it where windows overlap, with no index array
-and no np.add.at scatter. Krizhevsky's cuda-convnet, on which the paper
-builds, routes its pooling gradient this way, and cuDNN's pooling backward
-likewise takes x, y and dy (Chetlur et al., 2014). Evaluation, which runs
-no backward, thus builds nothing beyond the maxima, and a training step
-finds each winner once, in the backward (BENCH_pool.json). A ReLU
-directly before a pool can run on the pool's output (max commutes with
-ReLU); the column engine does so (schemes._layer).
+np.argmax picks; the last tap takes every window left. It writes grad_out
+times that hit mask into the tap's view of the input gradient, or adds it
+where windows overlap, with no index array and no np.add.at scatter.
+Krizhevsky's cuda-convnet, on which the paper builds, routes its pooling
+gradient this way, and cuDNN's pooling backward likewise takes x, y and dy
+(Chetlur et al., 2014). Evaluation, which runs no backward, thus builds
+nothing beyond the maxima, and a training step finds each winner once, in
+the backward (BENCH_pool.json). A ReLU directly before a pool can run on
+the pool's output (max commutes with ReLU); the column engine does so
+(schemes._layer).
 
 Importing this module pins numpy's OpenBLAS to one thread, through the
 `scipy_openblas_set_num_threads64_` symbol of the library numpy loaded: the
@@ -215,7 +217,9 @@ def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def _windows(x: np.ndarray, k: int, stride: int, writeable: bool = False) -> np.ndarray:
-    """(B, C, H', W', k, k) view of every k x k window of x, read-only unless `writeable`."""
+    """(B, C, H', W', k, k) view of every k x k window of x, read-only unless
+    `writeable`; raises ShapeError unless x is 4-d."""
+    _require(x.ndim == 4, f"window input must be 4-d (B, C, H, W), got {x.shape}")
     b, c, h, w = x.shape
     ho = conv_output_size(h, k, stride, 0)
     wo = conv_output_size(w, k, stride, 0)
@@ -233,7 +237,8 @@ def _windows(x: np.ndarray, k: int, stride: int, writeable: bool = False) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
+def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> tuple[int, ...]:
+    """(N, C, k, H', W') of a conv of x by w, once their shapes agree."""
     _require(x.ndim == 4, f"conv input must be 4-d, got {x.shape}")
     _require(
         w.ndim == 4 and w.shape[2] == w.shape[3] and min(w.shape[:2]) >= 1,
@@ -243,6 +248,9 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray) -> None:
         x.shape[1] == w.shape[1],
         f"conv input has {x.shape[1]} channels, weights expect {w.shape[1]}",
     )
+    n, c, k, _ = w.shape
+    ho, wo = (conv_output_size(extent, k, stride, pad) for extent in x.shape[2:])
+    return n, c, k, ho, wo
 
 
 def _placement(n: int, step: int, offset: int, size: int) -> tuple[slice, slice]:
@@ -319,11 +327,9 @@ def conv2d_forward(
     pad: int = 0,
 ) -> np.ndarray:
     """out[b,n,y,x] = b[n] + sum_{c,i,j} in[b,c,y*s+i-pad,x*s+j-pad] * w[n,c,i,j]."""
-    _conv_shapes(x, w)
-    n, c, k, _ = w.shape
+    n, c, k, ho, wo = _conv_shapes(x, w, stride, pad)
     _require(b.shape == (n,), f"conv bias shape {b.shape} does not match {n} output channels")
-    batch, _, h, wd = x.shape
-    ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
+    batch = x.shape[0]
     out = np.empty((batch, n, ho * wo), dtype=FLOAT)
     if k * c > wo:  # channels-last runs are longer: rows @ w, copied transposed into out[s]
         wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * c, n)
@@ -356,10 +362,8 @@ def conv2d_backward(
     weight gradient alone, returning None for the input gradient. The routes'
     weight gradients agree to rounding; their bias gradients are the same.
     """
-    _conv_shapes(x, w)
-    n, c, k, _ = w.shape
+    n, c, k, ho, wo = _conv_shapes(x, w, stride, pad)
     batch, _, h, wd = x.shape
-    ho, wo = conv_output_size(h, k, stride, pad), conv_output_size(wd, k, stride, pad)
     _require(
         grad_out.shape == (batch, n, ho, wo),
         f"conv grad_out shape {grad_out.shape} does not match forward output {(batch, n, ho, wo)}",
@@ -447,7 +451,6 @@ def maxpool_forward(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     way out equals the entry np.argmax picks in each window. No argmax is
     built: maxpool_backward finds it again from x and out.
     """
-    _require(x.ndim == 4, f"maxpool input must be 4-d, got {x.shape}")
     win = _windows(x, k, stride)
     out = win[..., 0, 0].copy()
     for flat in range(1, k * k):
@@ -463,15 +466,17 @@ def maxpool_backward(
 
     The taps are visited in flat order; a tap takes the gradient of each
     window whose max it equals (a NaN equals a NaN max) and whose gradient no
-    earlier tap took. Each tap writes grad_out * hit into its strided view of
-    grad_x, or adds it where windows overlap (k > stride), so there an entry
-    sums, tap by tap, the gradients of every window it wins. Every other
-    entry of a window receives grad_out * 0.0: -0.0 (equal to 0.0 under ==)
-    where grad_out is negative, and NaN where grad_out is not finite, so a
-    non-finite gradient spreads over its whole window. Entries no window
-    covers stay 0.0. The mask multiply is branch-free: a masked copy
-    (np.copyto with where=hit) took 2.7x as long per tap on midnet's first
-    pool, whose ReLU-output masks branch unpredictably.
+    earlier tap took; the last tap takes every window left without comparing,
+    since a window's max is one of its entries. Each tap writes grad_out * hit
+    into its strided view of grad_x, or adds it where windows overlap
+    (k > stride), so there an entry sums, tap by tap, the gradients of every
+    window it wins. Every other entry of a window receives grad_out * 0.0:
+    -0.0 (equal to 0.0 under ==) where grad_out is negative, and NaN where
+    grad_out is not finite, so a non-finite gradient spreads over its whole
+    window. Entries no window covers stay 0.0. The mask multiply is
+    branch-free: a masked copy (np.copyto with where=hit) took 2.7x as long
+    per tap on midnet's first pool, whose ReLU-output masks branch
+    unpredictably.
     """
     win = _windows(x, k, stride)
     _require(grad_out.shape == out.shape == win.shape[:4], "maxpool grad_out/out shape mismatch")
@@ -485,11 +490,14 @@ def maxpool_backward(
     hit = np.empty(out.shape, dtype=bool)
     for flat in range(k * k):
         entry, target = win[..., flat // k, flat % k], grad_win[..., flat // k, flat % k]
-        np.equal(entry, out, out=hit)
-        if nan is not None:  # NaN != NaN: a NaN entry hits a NaN max
-            hit |= nan & np.isnan(entry)
-        hit &= free
-        free ^= hit
+        if flat == k * k - 1:
+            hit = free
+        else:
+            np.equal(entry, out, out=hit)
+            if nan is not None:  # NaN != NaN: a NaN entry hits a NaN max
+                hit |= nan & np.isnan(entry)
+            hit &= free
+            free ^= hit
         if k > stride:
             target += grad_out * hit
         else:

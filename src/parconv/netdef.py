@@ -378,10 +378,6 @@ class ShapeReport:
     batch: int
 
     @property
-    def total_params(self) -> int:
-        return sum(r.params for r in self.rows)
-
-    @property
     def total_flops(self) -> int:
         return sum(r.flops_forward + r.flops_backward for r in self.rows)
 

@@ -90,8 +90,13 @@ LAYER_NAMES = {
     "alexnet": ["conv96k11", "relu", "maxpool3s2", "conv256k5", "relu", "maxpool3s2",
                 "conv384k3", "relu", "conv384k3", "relu", "conv256k3", "relu", "maxpool3s2",
                 "fc4096", "relu", "fc4096", "relu", "fc1000", "softmax1000"],
+    "fcmid": ["conv16k5", "relu", "maxpool2s2", "conv32k5", "relu", "maxpool2s2", "fc1024",
+              "relu", "fc10", "softmax10"],
     "midnet": ["conv16k5", "relu", "maxpool2s2", "conv32k5", "relu", "maxpool2s2", "fc64",
                "relu", "fc10", "softmax10"],
+    "minialex": ["conv24k11", "relu", "maxpool3s2", "conv64k5", "relu", "maxpool3s2",
+                 "conv96k3", "relu", "conv96k3", "relu", "conv64k3", "relu", "maxpool3s2",
+                 "fc1024", "relu", "fc1024", "relu", "fc10", "softmax10"],
     "minicnn": ["conv4k3", "relu", "fc10", "softmax10"],
     "tinynet": ["conv8k3", "relu", "maxpool2s2", "conv8k3", "relu", "fc32", "relu", "fc10",
                 "softmax10"],

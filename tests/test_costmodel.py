@@ -164,7 +164,7 @@ def test_calibrate_needs_four_observations():
 
 def test_calibrate_rejects_infeasible_observation():
     with pytest.raises(CalibrationError, match="infeasible"):
-        calibrate(TABLE1, ALEX, memory=1024)
+        calibrate(TABLE1, ALEX, batch=1024)  # d1m1 needs 6.55 GiB of the 6 GiB default
     for days in (0.0, -1.0):
         bad = TABLE1[:-1] + [(TABLE1[-1][0], days)]
         with pytest.raises(CalibrationError, match=f"days must be positive, got {days} for d2xm2"):

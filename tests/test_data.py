@@ -40,6 +40,12 @@ def test_empty_split_rejected():
         gen_synthetic(2, 4, (1, 2, 2), seed=0, test_per_class=0)
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, -1, 4), (4, 4)])
+def test_bad_sample_shape_rejected_naming_it(shape):
+    with pytest.raises(DatasetError, match=rf"sample shape .* got \({shape[0]}, {shape[1]}"):
+        gen_synthetic(10, 2, shape, 1)
+
+
 def test_blobs_are_separated():
     # class means differ by much more than the within-class noise scale
     train, _ = gen_synthetic(2, 32, (3, 16, 16), seed=3)

@@ -37,11 +37,6 @@ def test_spawn_requires_workers():
         spawn(2).run(lambda ctx, value: value, args=[(1,)])
 
 
-def test_link_count():
-    assert spawn(1).num_links == 0
-    assert spawn(4).num_links == 12
-
-
 def test_single_worker_collectives_leave_ledger_empty():
     fab = spawn(1)
 
@@ -98,7 +93,7 @@ def test_ledger_counts_single_tensor():
             ctx.recv(0, "x")
 
     fab.run(program)
-    assert fab.ledger.link(0, 1) == (40, 1)  # 10 elements x 4-byte wire scalars
+    assert fab.ledger.snapshot()[(0, 1)] == (40, 1)  # 10 elements x 4-byte wire scalars
 
 
 def test_ledger_hundred_sends():
@@ -113,7 +108,7 @@ def test_ledger_hundred_sends():
                 ctx.recv(0, "x")
 
     fab.run(program)
-    assert fab.ledger.link(0, 1) == (100 * 6 * 4, 100)
+    assert fab.ledger.snapshot()[(0, 1)] == (100 * 6 * 4, 100)
     assert fab.ledger.total_bytes == 2400
 
 
@@ -129,7 +124,7 @@ def test_payload_full_precision_despite_wire_accounting():
 
     results = fab.run(program)
     assert results[1][0] == value[0]
-    assert fab.ledger.link(0, 1) == (4, 1)
+    assert fab.ledger.snapshot()[(0, 1)] == (4, 1)
 
 
 def test_reduce_to_root_sums_in_worker_order():
@@ -155,7 +150,7 @@ def test_reduce_byte_count_example():
         ctx.reduce_to_root(range(4), 0, np.ones(p))
 
     fab.run(program)
-    into_root = sum(fab.ledger.link(src, 0)[0] for src in (1, 2, 3))
+    into_root = sum(fab.ledger.snapshot()[(src, 0)][0] for src in (1, 2, 3))
     assert into_root == 3 * p * 4
 
 

@@ -146,6 +146,14 @@ def test_maxpool_rejects_bad_window(k, stride):
         maxpool_backward(x, k, stride, np.ones((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)))
 
 
+def test_maxpool_rejects_an_input_that_is_not_4d():
+    x = np.ones((1, 8, 8))
+    for call in (lambda: maxpool_forward(x, 2, 2),
+                 lambda: maxpool_backward(x, 2, 2, np.ones((1, 4, 4)), np.zeros((1, 4, 4)))):
+        with pytest.raises(ShapeError, match=r"must be 4-d \(B, C, H, W\), got \(1, 8, 8\)"):
+            call()
+
+
 def test_conv_backward_zero_upstream():
     rs = R(1)
     x = rs.randn(2, 2, 4, 4)

@@ -174,7 +174,7 @@ def test_flops_match_instrumented_naive_oracle():
 def test_report_totals_are_sums():
     net = parse_network(TINY)
     rep = shape_report(net, 4)
-    assert rep.total_params == sum(r.params for r in rep.rows)
+    assert sum(r.params for r in rep.rows) == columnize(net, 1).column_param_count
     assert rep.total_flops == sum(r.flops_forward + r.flops_backward for r in rep.rows)
 
 

@@ -12,7 +12,9 @@ from parconv import kernels, schemes
 from parconv.errors import CapacityError, ShapeError, ValidationError
 from parconv.fabric import DeviceSpec, Fabric, Worker, spawn
 from parconv.kernels import SgdState, conv2d_backward
-from parconv.netdef import columnize, load_network, parse_network
+from parconv.netdef import (
+    DEFAULT_MEMORY, columnize, load_network, parse_network, worker_footprint_bytes,
+)
 from parconv.schemes import (
     FabricExchange,
     ParallelPlan,
@@ -641,6 +643,28 @@ def test_midnet_schedulers_bit_identical(plan):
     assert np.array(losses).tobytes() == np.array(losses_t).tobytes()
     assert ledger == ledger_t
     assert raw == raw_t
+
+
+@pytest.mark.parametrize(
+    "name, cross, params",
+    [("fcmid", (3,), 1_204_970), ("minialex", (3, 6, 8, 10), 1_564_010)], ids=["fcmid", "minialex"],
+)
+def test_parameter_heavy_nets_fit_under_the_five_plans(name, cross, params):
+    """configs/fcmid.net and configs/minialex.net parse, columnize under the
+    five paper plans (crossing at `cross`) and step once at batch 4, each
+    worker's meter peak the footprint formula within the default capacity."""
+    net = load_network(CONFIGS / f"{name}.net")
+    assert columnize(net, 1).column_param_count == params
+    x, y = make_batch(net, 4, 0)
+    for d, m in ((1, 1), (2, 1), (1, 2), (2, 2), (4, 1)):
+        plan = ParallelPlan(d, m, cross if m > 1 else ())
+        cs = plan_columnized(net, plan)
+        fab = spawn(plan.workers)
+        setup_workers(fab, plan, cs, init_dense_params(net, 0), SgdState())
+        assert math.isfinite(hybrid_step(fab, plan, cs, x, y).loss)
+        peaks = [worker_footprint_bytes(cs, plan.shard(4), wid < m) for wid in range(plan.workers)]
+        assert fab.meter.peak == peaks
+        assert max(peaks) <= DEFAULT_MEMORY
 
 
 @pytest.mark.parametrize(
