@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CalibrationError, InfeasiblePlanError, ValidationError
+from .fabric import DeviceSpec
 from .netdef import (
     DEFAULT_MEMORY,
     NetworkSpec,
     config_lines,
+    require_fit,
     shape_report,
-    worker_footprint_bytes,
 )
 from .schemes import ParallelPlan, comm_phases, plan_columnized
 
@@ -63,8 +64,7 @@ class CostParams:
             raise ValidationError("throughput and bandwidth must be positive")
         if self.latency < 0 or self.b_half < 0:
             raise ValidationError("latency and b_half must be non-negative")
-        if self.memory <= 0:
-            raise ValidationError("memory capacity must be positive")
+        DeviceSpec(self.memory)  # the device's capacity check
 
 
 _COST_KEYS = ("throughput", "bandwidth", "latency", "b_half", "memory")
@@ -161,19 +161,19 @@ class _PlanCost:
     worker_flops: int
     node_bytes: int
     node_messages: int
-    footprint_bytes: int
 
 
-def _plan_cost(plan: ParallelPlan, net: NetworkSpec, batch: int) -> _PlanCost:
+def _plan_cost(plan: ParallelPlan, net: NetworkSpec, batch: int, memory: int) -> _PlanCost:
+    """Raises InfeasiblePlanError when the plan does not fit in `memory` bytes."""
     shard = plan.shard(batch)
     cs = plan_columnized(net, plan)
+    require_fit(cs, shard, memory)
     phases = comm_phases(plan, cs, batch)
     return _PlanCost(
         per_device_batch=shard,
         worker_flops=shape_report(cs, shard).total_flops,
         node_bytes=sum(p.max_node_bytes for p in phases),
         node_messages=sum(p.max_node_messages for p in phases),
-        footprint_bytes=worker_footprint_bytes(cs, shard, holds_velocity=True),
     )
 
 
@@ -188,9 +188,7 @@ def _step_seconds(
 
 def step_time(plan: ParallelPlan, net: NetworkSpec, batch: int, cp: CostParams) -> StepTime:
     """Predicted seconds per update; raises InfeasiblePlanError on a memory breach."""
-    pc = _plan_cost(plan, net, batch)
-    if pc.footprint_bytes > cp.memory:
-        raise InfeasiblePlanError(0, pc.footprint_bytes, cp.memory)
+    pc = _plan_cost(plan, net, batch, cp.memory)
     compute, comm = _step_seconds(pc, cp.throughput, cp.bandwidth, cp.latency, cp.b_half)
     return StepTime(compute_seconds=compute, comm_seconds=comm)
 
@@ -262,13 +260,10 @@ def calibrate(
     for plan, days in observations:
         if days <= 0:
             raise CalibrationError(f"observed days must be positive, got {days} for {plan.describe()}")
-        pc = _plan_cost(plan, net, batch)
-        if pc.footprint_bytes > DEFAULT_MEMORY:
-            raise CalibrationError(
-                f"observation {plan.describe()} is infeasible: worker needs "
-                f"{pc.footprint_bytes} B but capacity is {DEFAULT_MEMORY} B"
-            )
-        plan_costs.append(pc)
+        try:
+            plan_costs.append(_plan_cost(plan, net, batch, DEFAULT_MEMORY))
+        except InfeasiblePlanError as err:
+            raise CalibrationError(f"observation {plan.describe()}: {err}") from None
         targets.append(days)
     steps_total = steps_per_epoch(dataset_size, batch) * epochs
     log_targets = [math.log(t) for t in targets]

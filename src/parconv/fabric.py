@@ -37,14 +37,16 @@ from .netdef import DEFAULT_MEMORY, WIRE_ELEMENT_SIZE
 
 @dataclass
 class DeviceSpec:
-    """Per-device capacity and the accounted bytes per scalar."""
+    """Per-device capacity and the accounted bytes per scalar. Its check is
+    the one capacity rule; cost parameters and training configs build a
+    DeviceSpec to apply it."""
 
     memory_capacity: int = DEFAULT_MEMORY
     wire_element_size = WIRE_ELEMENT_SIZE  # a class constant, not a field
 
     def __post_init__(self):
-        if self.memory_capacity <= 0:
-            raise ValidationError("device capacity must be positive")
+        if self.memory_capacity < 1:
+            raise ValidationError(f"memory capacity must be >= 1 byte, got {self.memory_capacity}")
 
 
 class CommLedger:
@@ -77,21 +79,12 @@ class CommLedger:
 
 
 class MemoryMeter:
-    """Accounted resident tensor bytes per worker, with running peak."""
+    """Accounted resident tensor bytes per worker, with running peak. Only
+    `Worker.alloc` and `Worker.free_bytes` write them."""
 
     def __init__(self, n: int):
         self.current = [0] * n
         self.peak = [0] * n
-
-    def alloc(self, wid: int, nbytes: int) -> None:
-        self.current[wid] += nbytes
-        if self.current[wid] > self.peak[wid]:
-            self.peak[wid] = self.current[wid]
-
-    def free(self, wid: int, nbytes: int) -> None:
-        if nbytes > self.current[wid]:
-            raise ValidationError(f"worker {wid}: freed more bytes than allocated")
-        self.current[wid] -= nbytes
 
 
 class _Abort(Exception):
@@ -104,7 +97,6 @@ class Worker:
     def __init__(self, fabric: "Fabric", wid: int):
         self.fabric = fabric
         self.wid = wid
-        self.n = fabric.n
 
     # -- local state (persists across fabric.run calls; one dict per worker) --
     @property
@@ -159,16 +151,21 @@ class Worker:
     def alloc(self, elements: int) -> int:
         """Account `elements` resident scalars; returns their bytes. Raises
         CapacityError, accounting nothing, when they do not fit the device."""
-        fab = self.fabric
+        fab, wid = self.fabric, self.wid
         nbytes = int(elements) * fab.device.wire_element_size
-        resident = fab.meter.current[self.wid] + nbytes
+        resident = fab.meter.current[wid] + nbytes
         if resident > fab.device.memory_capacity:
-            raise CapacityError(self.wid, resident, fab.device.memory_capacity)
-        fab.meter.alloc(self.wid, nbytes)
+            raise CapacityError(wid, resident, fab.device.memory_capacity)
+        fab.meter.current[wid] = resident
+        if resident > fab.meter.peak[wid]:
+            fab.meter.peak[wid] = resident
         return nbytes
 
     def free_bytes(self, nbytes: int) -> None:
-        self.fabric.meter.free(self.wid, nbytes)
+        meter, wid = self.fabric.meter, self.wid
+        if nbytes > meter.current[wid]:
+            raise ValidationError(f"worker {wid}: freed more bytes than allocated")
+        meter.current[wid] -= nbytes
 
 
 class Fabric:

@@ -7,6 +7,7 @@ precision in the SVG, and no timestamps or environment details are written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +92,8 @@ def emit_svg(series, x_axis: str, path, y_field: str = "train_loss") -> None:
     """Self-contained line chart; one polyline per input series.
 
     `series` maps label -> record list. Records without the requested y value
-    (e.g. test_error between evaluations) are skipped.
+    (e.g. test_error between evaluations) or with a non-finite one (a diverged
+    run's loss) are skipped, so the axes span the finite points only.
     """
     if x_axis not in X_AXES:
         raise ValueError(f"unknown x axis {x_axis!r} (choose from {sorted(X_AXES)})")
@@ -107,7 +109,7 @@ def emit_svg(series, x_axis: str, path, y_field: str = "train_loss") -> None:
         pts = []
         for r in records:
             y = getattr(r, y_field)
-            if y is None:
+            if y is None or not math.isfinite(y):
                 continue
             x = float(r.update) if x_axis == "updates" else r.sim_seconds
             pts.append((x, float(y)))

@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
-from .errors import PartitionError, ValidationError
+from .errors import InfeasiblePlanError, PartitionError, ValidationError
 from .kernels import conv_output_size
 
 WIRE_ELEMENT_SIZE = 4  # bytes per stored/transmitted scalar (models fp32 devices)
@@ -429,3 +429,11 @@ def worker_footprint_bytes(
     params, acts = column_footprint_elements(cs, per_device_batch)
     state = params * (2 if holds_velocity else 1)
     return (state + acts) * WIRE_ELEMENT_SIZE
+
+
+def require_fit(cs: ColumnizedSpec, per_device_batch: int, capacity: int) -> None:
+    """The one fit rule: raise InfeasiblePlanError unless a worker holding a
+    velocity fits in `capacity` bytes. Training and the cost model both apply it."""
+    need = worker_footprint_bytes(cs, per_device_batch, holds_velocity=True)
+    if need > capacity:
+        raise InfeasiblePlanError(0, need, capacity)

@@ -22,11 +22,11 @@ import numpy as np
 from . import rng
 from .costmodel import CostParams, step_time, steps_per_epoch
 from .data import Dataset, gen_synthetic
-from .errors import InfeasiblePlanError, ValidationError
+from .errors import ValidationError
 from .fabric import DeviceSpec, Fabric, spawn
 from .kernels import SgdState
 from .metrics import MetricsRecord
-from .netdef import DEFAULT_MEMORY, NetworkSpec, worker_footprint_bytes
+from .netdef import DEFAULT_MEMORY, NetworkSpec, require_fit
 from .schemes import (
     ParallelPlan,
     ParamSet,
@@ -78,25 +78,21 @@ class TrainConfig:
     memory_capacity: int | None = None  # overrides cost.memory / the 6 GB default
     scheduling: str = "lockstep"
     record_wall_time: bool = False
+    device: DeviceSpec = field(init=False)  # the capacity the run's fabric gets
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.memory_capacity is not None and self.memory_capacity < 1:
-            raise ValidationError(f"memory capacity must be >= 1 byte, got {self.memory_capacity}")
+        self.device = DeviceSpec(
+            self.memory_capacity if self.memory_capacity is not None
+            else self.cost.memory if self.cost is not None
+            else DEFAULT_MEMORY
+        )
         self.plan.shard(self.batch)
         _check_split(self.net, self.train_data, "training")
         if self.test_data is not None:
             _check_split(self.net, self.test_data, "test")
         steps_per_epoch(self.train_data.size, self.batch)
-
-    @property
-    def device_capacity(self) -> int:
-        if self.memory_capacity is not None:
-            return self.memory_capacity
-        if self.cost is not None:
-            return self.cost.memory
-        return DEFAULT_MEMORY
 
 
 @dataclass
@@ -113,21 +109,15 @@ def train(cfg: TrainConfig) -> TrainResult:
     cs = plan_columnized(cfg.net, plan)
     shard = plan.shard(cfg.batch)
 
-    # fail fast on memory before spawning anything (the runtime meter re-checks)
-    need = worker_footprint_bytes(cs, shard, holds_velocity=True)
-    if need > cfg.device_capacity:
-        raise InfeasiblePlanError(0, need, cfg.device_capacity)
+    capacity = cfg.device.memory_capacity
+    require_fit(cs, shard, capacity)  # before spawning anything; the runtime meter re-checks
 
     step_seconds = 0.0
     if cfg.cost is not None:
-        cp = replace(cfg.cost, memory=cfg.device_capacity)
+        cp = replace(cfg.cost, memory=capacity)
         step_seconds = step_time(plan, cfg.net, cfg.batch, cp).step_seconds
 
-    fabric = spawn(
-        plan.workers,
-        DeviceSpec(memory_capacity=cfg.device_capacity),
-        scheduling=cfg.scheduling,
-    )
+    fabric = spawn(plan.workers, cfg.device, scheduling=cfg.scheduling)
     dense = init_dense_params(cfg.net, cfg.seed)
     setup_workers(fabric, plan, cs, dense, cfg.sgd)
 

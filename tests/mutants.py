@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 K, S = "src/parconv/kernels.py", "src/parconv/schemes.py"
 C, N = "src/parconv/costmodel.py", "src/parconv/netdef.py"
+F, T = "src/parconv/fabric.py", "src/parconv/trainer.py"
 
 MUTANTS = [
     # tier-1's first four real survivors, each killed by a test added for it
@@ -60,7 +61,7 @@ MUTANTS = [
     Mutant(S, "acc = np.array(piece, copy=True) if acc is None else acc + piece",
            "acc = np.array(piece, copy=True) if acc is None else piece + acc",
            "a + b as b + a: IEEE addition is commutative", equivalent=True),
-    Mutant("src/parconv/fabric.py", "cand = (wid + k) % self.n", "cand = (wid - k) % self.n",
+    Mutant(F, "cand = (wid + k) % self.n", "cand = (wid - k) % self.n",
            "the lockstep turn passes to the previous runnable worker: results do not "
            "depend on the schedule", equivalent=True),
     Mutant(K, "return grad_x.reshape(batch, c, h, wd), np.ascontiguousarray(grad_w), grad_bias",
@@ -126,6 +127,27 @@ MUTANTS = [
            "fcmid is midnet again"),
     Mutant("configs/minialex.net", "conv 96 3 1 1     # 8", "conv 64 3 1 1     # 8",
            "minialex's layer 8 loses a third of its filters"),
+    # device memory: one capacity check, one fit rule, one capacity per config
+    Mutant(N, "    if need > capacity:\n", "    if need >= capacity:\n",
+           "require_fit refuses a plan that exactly fills the device"),
+    Mutant(T, "            self.memory_capacity if self.memory_capacity is not None\n"
+              "            else self.cost.memory if self.cost is not None\n",
+           "            self.cost.memory if self.cost is not None\n"
+           "            else self.memory_capacity if self.memory_capacity is not None\n",
+           "TrainConfig takes the cost's memory ahead of memory_capacity"),
+    Mutant(T, "            else self.cost.memory if self.cost is not None\n", "",
+           "TrainConfig ignores the cost's memory"),
+    Mutant(C, "_plan_cost(plan, net, batch, DEFAULT_MEMORY)",
+           "_plan_cost(plan, net, batch, DEFAULT_MEMORY - 1)",
+           "calibrate refuses an observation that exactly fills the default memory"),
+    Mutant(F, "if self.memory_capacity < 1:", "if self.memory_capacity < 0:",
+           "a device of zero bytes is accepted"),
+    Mutant(C, "        DeviceSpec(self.memory)  # the device's capacity check\n", "",
+           "cost parameters take a memory of zero bytes"),
+    Mutant(F, "        if nbytes > meter.current[wid]:\n", "        if nbytes > meter.peak[wid]:\n",
+           "free_bytes checks the peak, not the resident bytes"),
+    Mutant("src/parconv/metrics.py", "if y is None or not math.isfinite(y):", "if y is None:",
+           "emit_svg draws a diverged run's non-finite loss"),
 ]
 
 

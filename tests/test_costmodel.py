@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,9 @@ from parconv.costmodel import (
 )
 from parconv.data import gen_synthetic
 from parconv.errors import CalibrationError, InfeasiblePlanError, ValidationError
-from parconv.netdef import columnize, load_network, shape_report
+from parconv.netdef import (
+    DEFAULT_MEMORY, columnize, load_network, parse_network, shape_report, worker_footprint_bytes,
+)
 from parconv.schemes import ParallelPlan
 from parconv.trainer import TrainConfig, train
 
@@ -116,6 +119,12 @@ def test_step_time_memory_infeasible():
         step_time(ParallelPlan(1, 1), TINY, 8, cp)
     assert info.value.capacity == 1024
     assert info.value.required > 1024
+    # the bound is inclusive: the footprint fits exactly, one byte less is refused
+    need = worker_footprint_bytes(columnize(TINY, 1), 8, holds_velocity=True)
+    assert step_time(ParallelPlan(1, 1), TINY, 8, replace(cp, memory=need)).step_seconds > 0
+    with pytest.raises(InfeasiblePlanError) as info:
+        step_time(ParallelPlan(1, 1), TINY, 8, replace(cp, memory=need - 1))
+    assert (info.value.required, info.value.capacity) == (need, need - 1)
 
 
 def test_predict_total_epochs():
@@ -163,12 +172,20 @@ def test_calibrate_needs_four_observations():
 
 
 def test_calibrate_rejects_infeasible_observation():
-    with pytest.raises(CalibrationError, match="infeasible"):
+    with pytest.raises(CalibrationError, match="observation d1xm1: plan infeasible"):
         calibrate(TABLE1, ALEX, batch=1024)  # d1m1 needs 6.55 GiB of the 6 GiB default
     for days in (0.0, -1.0):
         bad = TABLE1[:-1] + [(TABLE1[-1][0], days)]
         with pytest.raises(CalibrationError, match=f"days must be positive, got {days} for d2xm2"):
             calibrate(bad, ALEX)
+
+
+def test_calibrate_takes_an_observation_that_exactly_fills_the_default_memory():
+    net = parse_network("input 3 21 21\nfc 12\nsoftmax 12\n")
+    batch = 1_195_680  # d1m1 needs exactly DEFAULT_MEMORY at this batch
+    assert worker_footprint_bytes(columnize(net, 1), batch) == DEFAULT_MEMORY
+    rows = [(ParallelPlan(d, 1), days) for d, days in ((1, 4.0), (2, 2.5), (4, 1.5), (8, 1.0))]
+    assert calibrate(rows, net, batch=batch, epochs=1).memory == DEFAULT_MEMORY
 
 
 def test_calibrate_reproduces_all_rows_within_10_percent(table1_fit):
@@ -284,5 +301,5 @@ def test_cost_params_validation():
         CostParams(throughput=1, bandwidth=1, latency=0, b_half=math.nan)
     with pytest.raises(ValidationError, match="memory must be finite"):
         CostParams(throughput=1, bandwidth=1, latency=0, b_half=1, memory=math.inf)
-    with pytest.raises(ValidationError, match="memory capacity must be positive"):
+    with pytest.raises(ValidationError, match="memory capacity must be >= 1 byte, got 0"):
         CostParams(throughput=1, bandwidth=1, latency=0, b_half=1, memory=0)

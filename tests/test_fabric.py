@@ -355,7 +355,7 @@ def test_undelivered_message_fails_a_successful_run(sched):
 
 def _ring_reduce(ctx):
     """Five ring shifts, then a reduce to worker 0 and a broadcast back."""
-    n = ctx.n
+    n = ctx.fabric.n
     acc = np.full(4, float(ctx.wid))
     for step in range(5):
         ctx.send((ctx.wid + 1) % n, ("ring", step), acc)
@@ -456,14 +456,16 @@ def test_meter_capacity_breach_names_worker_and_overshoot():
 
 def test_meter_refused_free_leaves_count_unchanged():
     fab = spawn(1)
-    fab.meter.alloc(0, 10)
+    fab.run(lambda ctx: (ctx.alloc(10), ctx.free_bytes(20)))  # 40 bytes in, 20 out
     with pytest.raises(ValidationError, match="worker 0: freed more bytes than allocated"):
-        fab.meter.free(0, 20)
-    assert fab.meter.current == [10] and fab.meter.peak == [10]
-    fab.meter.free(0, 10)
-    assert fab.meter.current == [0]
+        fab.run(lambda ctx: ctx.free_bytes(21))  # checked against the resident bytes, not the peak
+    assert fab.meter.current == [20] and fab.meter.peak == [40]
+    fab.run(lambda ctx: ctx.free_bytes(20))
+    assert fab.meter.current == [0] and fab.meter.peak == [40]
 
 
 def test_device_spec_validation():
-    with pytest.raises(ValidationError):
-        DeviceSpec(memory_capacity=0)
+    for capacity in (0, -5):
+        with pytest.raises(ValidationError, match=f"memory capacity must be >= 1 byte, got {capacity}"):
+            DeviceSpec(memory_capacity=capacity)
+    assert DeviceSpec(memory_capacity=1).memory_capacity == 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from parconv.metrics import CSV_COLUMNS, MetricsRecord, emit_csv, emit_svg, read_csv
@@ -70,12 +72,23 @@ def test_svg_multi_series_overlay(tmp_path):
 
 
 def test_svg_skips_missing_y_values(tmp_path):
-    records = [record(1), record(2, test_error=0.5), record(3), record(4, test_error=0.25)]
-    path = tmp_path / "err.svg"
-    emit_svg({"run": records}, "updates", path, y_field="test_error")
-    text = path.read_text()
-    assert text.count(",") >= 1
-    assert text.count("<polyline") == 1
+    """A missing or non-finite y value (a diverged run's loss) is skipped: the
+    chart is the one drawn without its record, its axes span the finite points."""
+    cases = {
+        "test_error": [record(1), record(2, test_error=0.5), record(3), record(4, test_error=0.25)],
+        "train_loss": [record(1, loss=2.0), record(2, loss=math.nan), record(3, loss=math.inf),
+                       record(4, loss=0.5), record(5, loss=-math.inf)],
+    }
+    for y_field, records in cases.items():
+        kept = [r for r in records
+                if getattr(r, y_field) is not None and math.isfinite(getattr(r, y_field))]
+        assert len(kept) == 2
+        emit_svg({"run": records}, "updates", tmp_path / "all.svg", y_field=y_field)
+        emit_svg({"run": kept}, "updates", tmp_path / "kept.svg", y_field=y_field)
+        text = (tmp_path / "all.svg").read_text()
+        assert text == (tmp_path / "kept.svg").read_text()
+        assert text.count("<polyline") == 1
+        assert "nan" not in text and "inf" not in text
 
 
 def test_axis_and_field_validation(tmp_path):

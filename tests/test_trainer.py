@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,29 @@ def test_memory_window_rejects_full_model_but_trains_columns(blobs10):
         train(config(train_data, plan=ParallelPlan(1, 1), memory_capacity=capacity))
     result = train(config(train_data, plan=ParallelPlan(1, 2, (3,)), memory_capacity=capacity))
     assert len(result.records) > 0
+    # the bound is inclusive: the full model trains in exactly its footprint,
+    # and one byte less is refused before anything runs
+    assert train(config(train_data, memory_capacity=full)).fabric.meter.peak == [full]
+    with pytest.raises(InfeasiblePlanError) as info:
+        train(config(train_data, memory_capacity=full - 1))
+    assert (info.value.required, info.value.capacity) == (full, full - 1)
+
+
+def test_memory_capacity_overrides_the_cost_memory(blobs10):
+    """Without memory_capacity the cost's memory is the device's; a
+    memory_capacity wins over it, and the simulated time still comes from the cost."""
+    train_data, _ = blobs10
+    need = worker_footprint_bytes(columnize(TINY, 1), 8, holds_velocity=True)
+    small = CostParams(throughput=1e9, bandwidth=1e9, latency=1e-4, b_half=4.0, memory=need - 1)
+    with pytest.raises(InfeasiblePlanError) as info:
+        train(config(train_data, cost=small))
+    assert info.value.capacity == need - 1
+    cfg = config(train_data, cost=small, memory_capacity=need)
+    result = train(cfg)
+    assert result.fabric.device.memory_capacity == need
+    step_s = step_time(cfg.plan, TINY, 8, replace(small, memory=need)).step_seconds
+    assert result.step_seconds == step_s > 0
+    assert [r.sim_seconds for r in result.records] == [r.update * step_s for r in result.records]
 
 
 # ---------------------------------------------------------------------------
